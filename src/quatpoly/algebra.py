@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union
 
 from .errors import InvariantViolation, PreconditionError, ZeroDivisorError
@@ -39,6 +39,8 @@ def rational(value: _RationalLike) -> Fraction:
             f"refusing to convert float {value!r} to an exact rational; "
             "pass a Fraction, int, or string like '3/2'"
         )
+    if type(value) is Fraction:  # immutable, so no copy is needed
+        return value
     return Fraction(value)
 
 
@@ -172,16 +174,28 @@ class Quaternion:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
+        # integer numerators over one denominator per factor, and
+        # (a, b) = (an/ad, bn/bd); the product scaled by ad*bd is integral
         a, b = self.algebra.a, self.algebra.b
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = q.w, q.x, q.y, q.z
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        d1, w1, x1, y1, z1 = self._numerators()
+        d2, w2, x2, y2, z2 = q._numerators()
+        s = ad * bd
+        den = s * d1 * d2
         return Quaternion(
             self.algebra,
-            w1 * w2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
-            w1 * x2 + x1 * w2 - b * (y1 * z2 - z1 * y2),
-            w1 * y2 + y1 * w2 + a * (x1 * z2 - z1 * x2),
-            w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2,
+            Fraction(s * w1 * w2 + an * bd * x1 * x2 + ad * bn * y1 * y2 - an * bn * z1 * z2, den),
+            Fraction(s * (w1 * x2 + x1 * w2) - ad * bn * (y1 * z2 - z1 * y2), den),
+            Fraction(s * (w1 * y2 + y1 * w2) + an * bd * (x1 * z2 - z1 * x2), den),
+            Fraction(s * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2), den),
         )
+
+    def _numerators(self) -> tuple[int, int, int, int, int]:
+        """The least common denominator d and the coordinates times d."""
+        w, x, y, z = self.w, self.x, self.y, self.z
+        d = lcm(w.denominator, x.denominator, y.denominator, z.denominator)
+        return (d, w.numerator * (d // w.denominator), x.numerator * (d // x.denominator),
+                y.numerator * (d // y.denominator), z.numerator * (d // z.denominator))
 
     def __rmul__(self, other):
         q = self._coerce(other)

@@ -3,7 +3,8 @@
 Every invocation handles a single command over one algebra and exits
 with a code describing the failure class, so batch drivers can sort
 outcomes without scraping messages: 0 success, 1 parse error, 2 zero
-divisor (split algebra), 3 precondition violation, 4 numeric failure.
+divisor (split algebra), 3 precondition violation, 4 numeric failure,
+5 internal error (a failed invariant check, which is a bug).
 ``--format json`` emits a stable machine-readable document with fields
 {command, algebra, backend, input, result, diagnostics}.
 """
@@ -19,6 +20,7 @@ from typing import Optional, Sequence
 from .algebra import AlgebraParams, Quaternion, SphereClass
 from .decompose import beck_decompose, center_coordinates
 from .errors import (
+    InvariantViolation,
     NumericFailure,
     ParseError,
     PreconditionError,
@@ -424,6 +426,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericFailure as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 4
+    except InvariantViolation as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 5
 
     if args.format == "json":
         algebra = _parse_algebra(args.algebra)

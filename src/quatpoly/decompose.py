@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import _linalg
 from .algebra import AlgebraParams, Quaternion, commutes
 from .errors import InvariantViolation, PreconditionError
-from .polynomials import CentralPoly, QPoly, central_gcd, gcrd, right_divrem
+from .polynomials import CentralPoly, QPoly, _primitive, _to_ints, central_gcd, gcrd
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,10 @@ class CenterCoords:
         return (self.scalar_part, self.i_part, self.j_part, self.k_part)
 
     def recombine(self) -> QPoly:
-        alg = self.algebra
-        units = (alg.one, alg.i, alg.j, alg.k)
-        total = QPoly(alg)
-        for unit, part in zip(units, self.parts()):
-            total = total + QPoly.constant(unit) * part.lift(alg)
-        return total
+        alg, parts = self.algebra, self.parts()
+        length = max(len(part.coeffs) for part in parts)
+        return QPoly(alg, (alg.quat(*[part.coefficient(m) for part in parts])
+                           for m in range(length)))
 
 
 @dataclass(frozen=True)
@@ -114,12 +112,15 @@ def beck_decompose(poly: QPoly) -> BeckFactorization:
         raise PreconditionError("cannot decompose the zero polynomial")
     lead = poly.leading
     central = _coordinate_gcd(poly)
-    monic_poly = lead.inverse() * poly
-    reduced, rem = right_divrem(monic_poly, central.lift(poly.algebra))
-    if not rem.is_zero:
-        raise InvariantViolation(
-            f"coordinate gcd {central} does not right-divide the polynomial"
-        )
+    quotients = []
+    for part in center_coordinates(poly.monic()).parts():
+        quotient, rem = divmod(part, central)
+        if not rem.is_zero:
+            raise InvariantViolation(
+                f"coordinate gcd {central} does not right-divide the polynomial"
+            )
+        quotients.append(quotient)
+    reduced = CenterCoords(poly.algebra, *quotients).recombine()
     if _coordinate_gcd(reduced).degree != 0:
         raise InvariantViolation(
             f"quotient {reduced} still has a central right divisor"
@@ -133,13 +134,23 @@ def max_central_right_divisor(poly: QPoly) -> CentralPoly:
 
 
 def _divisors(n: int) -> list[int]:
-    out = set()
-    d = 1
+    """The positive divisors of n >= 1, sorted, from its factorization.
+
+    Trial division divides each prime out as it is found, so the search
+    stops at the square root of the remaining cofactor.
+    """
+    out = [1]
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
+            power = 0
+            while n % d == 0:
+                n //= d
+                power += 1
+            out = [x * d**e for x in out for e in range(power + 1)]
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out += [x * n for x in out]
     return sorted(out)
 
 
@@ -159,12 +170,12 @@ def rational_roots(poly: CentralPoly) -> list[Fraction]:
         roots.add(Fraction(0))
         coeffs.pop(0)
     if len(coeffs) > 1:
-        denominator = lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * denominator) for c in coeffs]
-        content = gcd(*ints)
-        ints = [v // content for v in ints]
+        ints = _primitive(_to_ints(coeffs)[0])
+        denominators = _divisors(abs(ints[-1]))
         for p in _divisors(abs(ints[0])):
-            for q in _divisors(abs(ints[-1])):
+            for q in denominators:
+                if gcd(p, q) != 1:
+                    continue
                 for cand in (Fraction(p, q), Fraction(-p, q)):
                     if poly.evaluate(cand) == 0:
                         roots.add(cand)
@@ -175,11 +186,13 @@ def roots_in_center(poly: QPoly) -> list[Fraction]:
     """All central (rational) roots of P, sorted.
 
     These are exactly the rational roots of the maximal central right
-    divisor; each one is re-verified by right evaluation.
+    divisor; each one is re-verified by right evaluation, which at a
+    central point evaluates the four coordinates.
     """
     found = rational_roots(max_central_right_divisor(poly)) if not poly.is_zero else []
+    parts = center_coordinates(poly).parts()
     for root in found:
-        if not poly.evaluate(root).is_zero:
+        if any(part.evaluate(root) for part in parts):
             raise InvariantViolation(f"central candidate {root} fails evaluation")
     return found
 

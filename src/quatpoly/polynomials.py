@@ -16,6 +16,7 @@ minimal polynomials of conjugacy classes live.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .algebra import (
@@ -26,7 +27,7 @@ from .algebra import (
     SphereClass,
     rational,
 )
-from .errors import InvariantViolation, PreconditionError
+from .errors import PreconditionError
 
 #: Degree of the zero polynomial; compares below every integer degree.
 MINUS_INFINITY = float("-inf")
@@ -257,20 +258,23 @@ class QPoly:
     def companion(self) -> "CentralPoly":
         """The central polynomial P * conj(P), of degree 2 deg P.
 
-        Its coefficients are invariant under coefficient conjugation,
-        hence central.  The minimal polynomial of every conjugacy class
-        containing a root of P divides the companion, which is what
-        makes it the root-finding workhorse.
+        Writing P = P0 + P1 i + P2 j + P3 k with rational coordinate
+        polynomials Pm, and using that x is central, the product is the
+        norm form P0^2 - a P1^2 - b P2^2 + a b P3^2, whose coefficients
+        are rational, hence central.  It is computed from four integer
+        squarings of the coordinates over their common denominator.  The
+        minimal polynomial of every conjugacy class containing a root of
+        P divides the companion, which is what makes it the root-finding
+        workhorse.
         """
-        prod = self * self.conjugate_coeffs()
-        coeffs = []
-        for c in prod.coeffs:
-            if not c.is_central:
-                raise InvariantViolation(
-                    f"companion coefficient {c} is not central"
-                )
-            coeffs.append(c.w)
-        return CentralPoly(coeffs)
+        rows, den = _int_coords(self)
+        a, b = self.algebra.a, self.algebra.b
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        total = [0] * max(0, 2 * len(self._coeffs) - 1)
+        for weight, row in zip((ad * bd, -an * bd, -ad * bn, an * bn), rows):
+            for m, c in enumerate(_int_mul(row, row)):
+                total[m] += weight * c
+        return _central_from_ints(total, den * den * ad * bd)
 
     def coefficients_central(self) -> bool:
         return all(c.is_central for c in self._coeffs)
@@ -392,15 +396,8 @@ class CentralPoly:
         p = self._coerce_operand(other)
         if p is None:
             return NotImplemented
-        if self.is_zero or p.is_zero:
-            return CentralPoly()
-        out = [Fraction(0)] * (len(self._coeffs) + len(p._coeffs) - 1)
-        for m, cm in enumerate(self._coeffs):
-            if cm == 0:
-                continue
-            for n, cn in enumerate(p._coeffs):
-                out[m + n] += cm * cn
-        return CentralPoly(out)
+        (left, left_den), (right, right_den) = _to_ints(self._coeffs), _to_ints(p._coeffs)
+        return _central_from_ints(_int_mul(left, right), left_den * right_den)
 
     __rmul__ = __mul__
 
@@ -423,19 +420,14 @@ class CentralPoly:
             return NotImplemented
         if other.is_zero:
             raise PreconditionError("division by the zero polynomial")
-        quot = [Fraction(0)] * max(0, len(self._coeffs) - len(other._coeffs) + 1)
-        rem = list(self._coeffs)
-        dlead = other.leading
-        dd = len(other._coeffs) - 1
-        while len(rem) - 1 >= dd and rem:
-            t = rem[-1] / dlead
-            shift = len(rem) - 1 - dd
-            quot[shift] = t
-            for n, cn in enumerate(other._coeffs):
-                rem[shift + n] -= t * cn
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return CentralPoly(quot), CentralPoly(rem)
+        num, num_den = _to_ints(self._coeffs)
+        div, div_den = _to_ints(other._coeffs)
+        quot, rem, scale = _int_divmod(num, div)
+        # scale * num = quot * div + rem, with self = num / num_den and
+        # other = div / div_den
+        den = scale * num_den
+        return (_central_from_ints([q * div_den for q in quot], den),
+                _central_from_ints(rem, den))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -446,7 +438,7 @@ class CentralPoly:
     def divides(self, other: "CentralPoly") -> bool:
         if self.is_zero:
             return other.is_zero
-        return (other % self).is_zero
+        return _int_divides(_to_ints(other._coeffs)[0], _primitive(_to_ints(self._coeffs)[0]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CentralPoly):
@@ -460,14 +452,23 @@ class CentralPoly:
         return not self.is_zero
 
     def evaluate(self, point):
-        """Horner evaluation; the point may be rational or a quaternion."""
+        """Horner evaluation; the point may be rational or a quaternion.
+
+        At a rational point p/q the homogenized sum of c_m p^m q^(d-m)
+        runs over the integer numerators and is divided once.
+        """
         if isinstance(point, Quaternion):
             return self.lift(point.algebra).evaluate(point)
         value = rational(point)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * value + c
-        return acc
+        if not self._coeffs:
+            return Fraction(0)
+        ints, den = _to_ints(self._coeffs)
+        p, q = value.numerator, value.denominator
+        acc, q_power = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            q_power *= q
+            acc = acc * p + c * q_power
+        return Fraction(acc, den * q_power)
 
     def monic(self) -> "CentralPoly":
         lead = self.leading
@@ -529,14 +530,20 @@ def right_divrem(dividend: QPoly, divisor: QPoly) -> tuple[QPoly, QPoly]:
     if dividend.is_zero or dividend.degree < divisor.degree:
         return QPoly(dividend.algebra), dividend
     lead_inv = divisor.leading.inverse()
-    q_coeffs = [dividend.algebra.zero] * (dividend.degree - divisor.degree + 1)
-    rem = dividend
-    while not rem.is_zero and rem.degree >= divisor.degree:
-        shift = rem.degree - divisor.degree
-        t = rem.leading * lead_inv
+    dd = divisor.degree
+    lower = divisor.coeffs[:-1]
+    rem = list(dividend.coeffs)
+    q_coeffs = [dividend.algebra.zero] * (len(rem) - dd)
+    for shift in range(len(q_coeffs) - 1, -1, -1):
+        top = rem[shift + dd]
+        if top.is_zero:
+            continue
+        t = top * lead_inv
         q_coeffs[shift] = t
-        rem = rem - QPoly.monomial(t, shift) * divisor
-    return QPoly(dividend.algebra, q_coeffs), rem
+        # t * divisor cancels the top coefficient exactly
+        for n, c in enumerate(lower):
+            rem[shift + n] = rem[shift + n] - t * c
+    return QPoly(dividend.algebra, q_coeffs), QPoly(dividend.algebra, rem[:dd])
 
 
 def eval_right(poly: QPoly, point) -> Quaternion:
@@ -578,13 +585,19 @@ def gcrd(first: QPoly, second: QPoly) -> QPoly:
 
 
 def central_gcd(first: CentralPoly, second: CentralPoly) -> CentralPoly:
-    """Monic greatest common divisor in the commutative ring F[x]."""
+    """Monic greatest common divisor in the commutative ring F[x].
+
+    Euclid runs on primitive integer polynomials (Collins' primitive
+    remainder sequence): every pseudo-remainder is divided by its
+    content, so coefficients stay near the size of the subresultants
+    instead of growing with each rational division.
+    """
     if first.is_zero and second.is_zero:
         raise PreconditionError("gcd(0, 0) is undefined")
-    p, s = first, second
-    while not s.is_zero:
-        p, s = s, (p % s)
-    return p.monic()
+    p, s = (_primitive(_to_ints(f.coeffs)[0]) for f in (first, second))
+    while s:
+        p, s = s, _primitive(_int_divmod(p, s)[1])
+    return CentralPoly(p).monic()
 
 
 def minimal_polynomial(cls: ConjClass) -> CentralPoly:
@@ -598,3 +611,93 @@ def minimal_polynomial(cls: ConjClass) -> CentralPoly:
     if isinstance(cls, SphereClass):
         return CentralPoly((cls.norm, -cls.trace, 1))
     raise PreconditionError(f"{cls!r} is not a conjugacy class")
+
+
+# -- integer kernels ---------------------------------------------------------
+#
+# The exact core computes on integer coefficient lists over one common
+# denominator and builds Fractions only for results: Fraction arithmetic
+# pays a gcd on every operation.
+
+
+def _to_ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator."""
+    # star-args from a list: a generator would build its tuple by
+    # resizing, which bypasses CPython's tuple free lists and fills them
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _central_from_ints(ints: Sequence[int], den: int) -> CentralPoly:
+    return CentralPoly(Fraction(c, den) for c in ints)
+
+
+def _int_coords(poly: QPoly) -> tuple[list[list[int]], int]:
+    """The four coordinate polynomials of P as integers over one denominator."""
+    ints, den = _to_ints([v for c in poly.coeffs for v in c.coords()])
+    return [ints[m::4] for m in range(4)], den
+
+
+def _int_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    out = [0] * max(0, len(p) + len(q) - 1)
+    for m, cm in enumerate(p):
+        if cm:
+            for n, cn in enumerate(q):
+                out[m + n] += cm * cn
+    return out
+
+
+def _int_divmod(num: Sequence[int], div: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division scale * num = quot * div + rem, deg rem < deg div.
+
+    ``div`` is nonzero with a nonzero last entry.  A step scales the
+    running remainder only by the part of the leading coefficient that
+    does not already divide the term being cancelled, so ``scale`` is 1
+    for monic divisors and divides |lead|^(deg num - deg div + 1).
+    """
+    lead, dd = div[-1], len(div) - 1
+    rem = list(num)
+    quot = [0] * max(0, len(num) - dd)
+    scale = 1
+    for shift in range(len(quot) - 1, -1, -1):
+        top = rem.pop()  # this step cancels it
+        if not top:
+            continue
+        f = abs(lead) // gcd(top, lead)
+        if f != 1:
+            scale *= f
+            rem = [f * c for c in rem]
+            quot = [f * c for c in quot]
+            top *= f
+        t = top // lead
+        quot[shift] = t
+        for n in range(dd):
+            rem[shift + n] -= t * div[n]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem, scale
+
+
+def _int_divides(num: Sequence[int], div: Sequence[int]) -> bool:
+    """Whether the primitive ``div`` divides ``num`` over the rationals.
+
+    By Gauss's lemma it then divides over the integers, so every step
+    of the long division must be exact; the first inexact one decides.
+    """
+    lead, dd = div[-1], len(div) - 1
+    rem = list(num)
+    for shift in range(len(num) - 1 - dd, -1, -1):
+        t, inexact = divmod(rem.pop(), lead)
+        if inexact:
+            return False
+        for n in range(dd):
+            rem[shift + n] -= t * div[n]
+    return not any(rem)
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content, with a positive leading coefficient."""
+    if not p:
+        return p
+    content = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return [c // content for c in p]

@@ -38,7 +38,7 @@ from .algebra import (
     is_rational_square,
     rational_sqrt,
 )
-from .decompose import roots_in_center
+from .decompose import center_coordinates, roots_in_center
 from .errors import InvariantViolation, PreconditionError, ZeroDivisorError
 from .polynomials import CentralPoly, QPoly, minimal_polynomial
 
@@ -136,8 +136,12 @@ def class_remainder(poly: QPoly, cls: SphereClass) -> tuple[Quaternion, Quaterni
             "class_remainder needs a non-central class; central candidates "
             "are settled by direct evaluation"
         )
-    rem = poly % minimal_polynomial(cls).lift(poly.algebra)
-    return rem.coefficient(1), rem.coefficient(0)
+    # a central divisor acts on the four coordinates separately
+    quadratic = minimal_polynomial(cls)
+    rems = [part % quadratic for part in center_coordinates(poly).parts()]
+    alg = poly.algebra
+    return (alg.quat(*[r.coefficient(1) for r in rems]),
+            alg.quat(*[r.coefficient(0) for r in rems]))
 
 
 def class_status(poly: QPoly, cls: SphereClass) -> ClassStatus:
@@ -291,7 +295,7 @@ def _check_report(poly: QPoly, report: RootReport):
     product = CentralPoly((1,))
     for cls in spherical:
         product = product * minimal_polynomial(cls)
-    if not (poly % product.lift(poly.algebra)).is_zero:
+    if not all(product.divides(part) for part in center_coordinates(poly).parts()):
         raise InvariantViolation(
             "product of spherical class quadratics does not right-divide P"
         )

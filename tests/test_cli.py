@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from quatpoly import InvariantViolation, cli
 from quatpoly.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -180,6 +181,16 @@ class TestExitCodes:
                            "1/10000000000000 x^2 + 10000000000000", "--numeric")
         assert code == 4
         assert "numeric failure" in err
+
+    def test_invariant_violation_is_5(self, capsys, monkeypatch):
+        def broken(poly):
+            raise InvariantViolation("spherical product does not divide")
+
+        monkeypatch.setattr(cli, "classify", broken)
+        code, out, err = run(capsys, "classify", "x^2 + 1")
+        assert code == 5
+        assert out == ""
+        assert err.strip() == "internal error: spherical product does not divide"
 
     def test_missing_command_is_1(self, capsys):
         code, _, _ = run(capsys, "")

@@ -1,5 +1,6 @@
 """Polynomial ring operations: division, gcrd, evaluation, companion."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from quatpoly import (
     PreconditionError,
     QPoly,
     ZeroDivisorError,
+    beck_decompose,
     central_gcd,
+    class_remainder,
     conjugacy_class,
     eval_product,
     eval_right,
@@ -28,9 +31,22 @@ from conftest import (
     nonzero_quaternions,
     qpolys,
     quaternions,
+    small_fractions,
 )
 
 algebras = st.sampled_from(DIVISION_ALGEBRAS)
+#: Structure constants with denominators in a and in b, which the
+#: integer kernels clear, beside the division algebras with integer ones.
+parity_algebras = st.sampled_from(DIVISION_ALGEBRAS + [
+    AlgebraParams(Fraction(-1, 2), Fraction(-3)),
+    AlgebraParams(Fraction(-2, 3), Fraction(-5, 7)),
+])
+
+
+def central_polys(min_degree: int = 0, max_degree: int = 4):
+    coeffs = st.lists(small_fractions(6, 4), min_size=min_degree + 1,
+                      max_size=max_degree + 1)
+    return coeffs.map(CentralPoly).filter(lambda f: f.degree >= min_degree)
 
 
 class TestConstruction:
@@ -97,7 +113,7 @@ class TestRingStructure:
 
 
 class TestRightDivision:
-    @given(algebras, st.data())
+    @given(parity_algebras, st.data())
     @settings(max_examples=80)
     def test_divrem_round_trip(self, A, data):
         p = data.draw(qpolys(A, max_degree=6))
@@ -216,13 +232,13 @@ class TestEvaluation:
 
 
 class TestCompanion:
-    @given(st.data())
+    @given(parity_algebras, st.data())
     @settings(max_examples=60)
-    def test_companion_is_conjugate_product(self, data):
-        p = data.draw(qpolys(min_degree=1, max_degree=5))
+    def test_companion_is_conjugate_product(self, A, data):
+        p = data.draw(qpolys(A, min_degree=1, max_degree=5))
         comp = p.companion()
         assert isinstance(comp, CentralPoly)
-        assert comp.lift(HAMILTON) == p * p.conjugate_coeffs()
+        assert comp.lift(A) == p * p.conjugate_coeffs()
         assert comp.degree == 2 * p.degree
 
     @given(st.data())
@@ -247,6 +263,14 @@ class TestCentralPoly:
         assert r.is_zero and q == CentralPoly((Fraction(-2), Fraction(1)))
         assert f.divides(g)
         assert not CentralPoly((Fraction(1), Fraction(1))).divides(g)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_divides_agrees_with_remainder(self, data):
+        d = data.draw(central_polys(min_degree=1, max_degree=3))
+        f = data.draw(central_polys(max_degree=4))
+        for g in (f, f * d):
+            assert d.divides(g) == (g % d).is_zero
 
     def test_squarefree_part(self):
         x2p1 = CentralPoly((Fraction(1), Fraction(0), Fraction(1)))
@@ -288,3 +312,72 @@ class TestMinimalPolynomial:
         mp = minimal_polynomial(conjugacy_class(q))
         assert mp.coeffs == (q.norm(), -q.trace(), Fraction(1))
         assert eval_right(mp.lift(HAMILTON), q) == HAMILTON.zero
+
+
+class TestCoordinateDivisionParity:
+    """Central divisors act on the four coordinates; the results must
+    equal right division by the lifted divisor."""
+
+    @given(parity_algebras, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_class_remainder_is_lifted_remainder(self, A, data):
+        p = data.draw(qpolys(A, max_degree=6))
+        q = data.draw(quaternions(A, bound=5).filter(lambda v: not v.is_central))
+        cls = conjugacy_class(q)
+        rem = p % minimal_polynomial(cls).lift(A)
+        assert class_remainder(p, cls) == (rem.coefficient(1), rem.coefficient(0))
+
+    @given(parity_algebras, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_beck_decompose_recombines_planted_central_factor(self, A, data):
+        g = data.draw(qpolys(A, max_degree=4).filter(lambda f: not f.is_zero))
+        h = data.draw(central_polys(min_degree=1, max_degree=3)).monic()
+        p = g * h.lift(A)
+        beck = beck_decompose(p)
+        assert beck.recombine() == p
+        assert h.divides(beck.central)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(poly: CentralPoly, sympy):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly.coeffs)]
+    return sympy.Poly(coeffs or [0], sympy.Symbol("x"), domain="QQ")
+
+
+def _from_sympy(poly) -> CentralPoly:
+    return CentralPoly(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
+
+
+class TestCentralKernelOracle:
+    """The integer gcd kernels against sympy over QQ."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_central_gcd_matches_sympy(self, sympy, data):
+        common = data.draw(central_polys(max_degree=3).filter(lambda f: not f.is_zero))
+        a = common * data.draw(central_polys(max_degree=4))
+        b = common * data.draw(central_polys(max_degree=4))
+        if a.is_zero and b.is_zero:
+            return
+        expected = _to_sympy(a, sympy).gcd(_to_sympy(b, sympy)).monic()
+        assert central_gcd(a, b) == _from_sympy(expected)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_squarefree_part_matches_sympy(self, sympy, data):
+        f = data.draw(central_polys(min_degree=1, max_degree=3))
+        g = data.draw(central_polys(min_degree=1, max_degree=3))
+        p = f * f * g
+        expected = _to_sympy(p, sympy).sqf_part().monic()
+        assert p.squarefree_part() == _from_sympy(expected)
+
+    def test_coprime_degree_24_gcd_is_one(self):
+        # Euclid over Fractions grew coefficients of this kind of pair to
+        # thousands of bits before reaching the unit gcd
+        rng = random.Random(24)
+        a, b = (CentralPoly([rng.randint(-9, 9) for _ in range(24)] + [1]) for _ in range(2))
+        assert central_gcd(a, b) == CentralPoly((1,))
