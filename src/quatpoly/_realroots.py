@@ -1,10 +1,9 @@
 """Float root extraction for real polynomials, plus root clustering.
 
 Thin wrapper around numpy's companion-matrix eigenvalue solver, with
-helpers to group conjugate pairs and collapse multiple eigenvalues.
-Collapsing matters: repeated roots come out of the eigensolver with
-errors around the square root of machine epsilon, but the mean of a
-cluster recovers the root to near machine precision.
+the one clustering routine both backends use: single-linkage grouping
+of nearby eigenvalues at a relative tolerance, and a split of roots
+into real values and conjugate-pair invariants (trace, norm).
 """
 
 from __future__ import annotations
@@ -30,27 +29,44 @@ def real_poly_roots(coeffs_const_first: Sequence[float]) -> list[complex]:
     return [complex(z) for z in roots]
 
 
-def _cluster(points: list[complex], tol: float) -> list[tuple[complex, int]]:
-    """Greedy clustering by distance; returns (mean, size) per cluster."""
-    groups: list[list[complex]] = []
-    for p in sorted(points, key=lambda z: (z.real, z.imag)):
-        for g in groups:
-            mean = sum(g) / len(g)
-            if abs(p - mean) <= tol * (1.0 + abs(mean)):
-                g.append(p)
-                break
-        else:
-            groups.append([p])
-    return [(sum(g) / len(g), len(g)) for g in groups]
+def fold_cluster(points: Sequence[complex], tol: float) -> list[list[int]]:
+    """Single-linkage index clusters at the given relative tolerance."""
+    m = len(points)
+    parent = list(range(m))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a in range(m):
+        for b in range(a + 1, m):
+            scale = 1.0 + 0.5 * (abs(points[a]) + abs(points[b]))
+            if abs(points[a] - points[b]) <= tol * scale:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[rb] = ra
+    groups: dict[int, list[int]] = {}
+    for idx in range(m):
+        groups.setdefault(find(idx), []).append(idx)
+    out = list(groups.values())
+    out.sort(key=lambda g: (points[g[0]].real, points[g[0]].imag))
+    return out
+
+
+def _cluster_means(points: list[complex], tol: float) -> list[complex]:
+    return [sum(points[i] for i in g) / len(g) for g in fold_cluster(points, tol)]
 
 
 def pair_and_cluster(
     roots: Sequence[complex], tol: float
-) -> tuple[list[tuple[float, int]], list[tuple[tuple[float, float], int]]]:
-    """Split roots into real values and conjugate-pair (trace, norm) data.
+) -> tuple[list[float], list[tuple[float, float]]]:
+    """Split roots into clustered real values and conjugate-pair invariants.
 
-    Returns (reals, spheres): reals as (value, multiplicity), spheres as
-    ((2*Re z, |z|^2), multiplicity) taken from the upper half-plane.
+    Returns (reals, spheres): the mean of each cluster of real roots, and
+    (2*Re z, |z|^2) for the mean z of each cluster of upper half-plane
+    roots.
     """
     real_points: list[complex] = []
     upper: list[complex] = []
@@ -59,9 +75,6 @@ def pair_and_cluster(
             real_points.append(complex(z.real, 0.0))
         elif z.imag > 0:
             upper.append(z)
-    reals = [(mean.real, mult) for mean, mult in _cluster(real_points, tol)]
-    spheres = [
-        ((2.0 * mean.real, abs(mean) ** 2), mult)
-        for mean, mult in _cluster(upper, tol)
-    ]
+    reals = [mean.real for mean in _cluster_means(real_points, tol)]
+    spheres = [(2.0 * mean.real, abs(mean) ** 2) for mean in _cluster_means(upper, tol)]
     return reals, spheres

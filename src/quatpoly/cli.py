@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra import AlgebraParams, Quaternion, SphereClass
 from .decompose import beck_decompose, center_coordinates
@@ -28,19 +28,16 @@ from .errors import (
 )
 from .numeric import (
     NumericSettings,
-    QuatF,
     SphereClassF,
     classify_f64,
     eval_f64,
     roots_in_subfield_f64,
 )
 from .parsing import parse_quaternion, parse_to_qpoly, poly_to_json_obj, quat_to_json
-from .polynomials import CentralPoly, QPoly, eval_right, gcrd, right_divrem
+from .polynomials import eval_right, gcrd, right_divrem
 from .roots import (
     IsolatedRoot,
-    NoRootInClass,
     RootReport,
-    SphericalRoots,
     UncertainStatus,
     analyze_sparse,
     classify,
@@ -48,21 +45,6 @@ from .roots import (
     nonroot_conjugates,
     roots_in_subfield,
     spherical_bound_report,
-)
-
-COMMANDS = (
-    "eval",
-    "divrem",
-    "gcrd",
-    "mul",
-    "decompose",
-    "coords",
-    "classify",
-    "spherical",
-    "analyze",
-    "cubic",
-    "nonroots",
-    "subfield-roots",
 )
 
 
@@ -100,74 +82,215 @@ def _f(v: float) -> float:
     return float(f"{v:.12g}")
 
 
-def _quatf_json(q: QuatF) -> list[float]:
+def _quat_json(q) -> list:
+    if isinstance(q, Quaternion):
+        return quat_to_json(q)
     return [_f(q.w), _f(q.x), _f(q.y), _f(q.z)]
 
 
 def _status_json(status) -> dict:
-    if isinstance(status, SphericalRoots):
-        return {"status": "spherical"}
+    entry = {"status": status.kind}
     if isinstance(status, IsolatedRoot):
-        rep = status.representative
-        payload = (
-            quat_to_json(rep) if isinstance(rep, Quaternion) else _quatf_json(rep)
-        )
-        return {"status": "isolated", "representative": payload}
-    if isinstance(status, NoRootInClass):
-        return {"status": "no-root"}
-    if isinstance(status, UncertainStatus):
-        return {"status": "uncertain", "reason": status.reason}
-    return {"status": type(status).__name__}
+        entry["representative"] = _quat_json(status.representative)
+    elif isinstance(status, UncertainStatus):
+        entry["reason"] = status.reason
+    return entry
 
 
-def _report_json(report: RootReport, exact: bool) -> dict:
+# -- result shapes: each returns (json result, text lines) ----------------------
+
+
+def _named(algebra: AlgebraParams, **parts) -> tuple[dict, list[str]]:
+    """Labelled polynomials and quaternions, one ``label: value`` line each."""
+    result = {
+        label: quat_to_json(value) if isinstance(value, Quaternion)
+        else poly_to_json_obj(value, algebra)
+        for label, value in parts.items()
+    }
+    return result, [f"{label}: {value}" for label, value in parts.items()]
+
+
+def _quats(key: str, values) -> tuple[dict, list[str]]:
+    return {key: [_quat_json(q) for q in values]}, [str(q) for q in values]
+
+
+def _report(report: RootReport) -> tuple[dict, list[str]]:
+    num = str if report.candidate_source == "exact" else _f
     classes = []
     for cls, status in report.class_entries:
         if isinstance(cls, (SphereClass, SphereClassF)):
-            entry = {
-                "trace": str(cls.trace) if exact else _f(cls.trace),
-                "norm": str(cls.norm) if exact else _f(cls.norm),
-            }
+            entry = {"trace": num(cls.trace), "norm": num(cls.norm)}
         else:
-            entry = {"value": str(cls.value) if exact else _f(cls.value)}
-        entry.update(_status_json(status))
-        classes.append(entry)
-    return {
+            entry = {"value": num(cls.value)}
+        classes.append({**entry, **_status_json(status)})
+    result = {
         "degree": report.degree,
-        "central_roots": [str(r) if exact else _f(r) for r in report.central_roots],
+        "central_roots": [num(r) for r in report.central_roots],
         "classes": classes,
         "candidate_source": report.candidate_source,
     }
+    roots = ", ".join(str(r) for r in report.central_roots) or "none"
+    lines = [f"degree: {report.degree}", f"central roots: {roots}"]
+    lines += [f"{cls}: {status}" for cls, status in report.class_entries] or [
+        "non-central classes: none"
+    ]
+    return result, lines
 
 
-def _status_text(status) -> str:
-    if isinstance(status, SphericalRoots):
-        return "spherical roots (the whole class)"
-    if isinstance(status, IsolatedRoot):
-        return f"isolated root {status.representative}"
-    if isinstance(status, NoRootInClass):
-        return "no root"
-    if isinstance(status, UncertainStatus):
-        return f"uncertain ({status.reason})"
-    return str(status)
+# -- runners: (args, poly, algebra, settings), settings None on the exact backend
 
 
-def _report_text(report: RootReport) -> list[str]:
-    lines = [f"degree: {report.degree}"]
-    if report.central_roots:
-        roots = ", ".join(str(r) for r in report.central_roots)
+def _eval(args, poly, algebra, settings):
+    point = parse_quaternion(args.at, algebra)
+    value = eval_right(poly, point) if settings is None else eval_f64(poly, point)
+    return {"value": _quat_json(value)}, [f"P({args.at}) = {value}"]
+
+
+def _divrem(args, poly, algebra, settings):
+    quotient, remainder = right_divrem(poly, parse_to_qpoly(args.poly2, algebra))
+    return _named(algebra, quotient=quotient, remainder=remainder)
+
+
+def _gcrd(args, poly, algebra, settings):
+    return _named(algebra, gcrd=gcrd(poly, parse_to_qpoly(args.poly2, algebra)))
+
+
+def _mul(args, poly, algebra, settings):
+    return _named(algebra, product=poly * parse_to_qpoly(args.poly2, algebra))
+
+
+def _decompose(args, poly, algebra, settings):
+    fact = beck_decompose(poly)
+    return _named(algebra, leading=fact.leading, reduced=fact.reduced, central=fact.central)
+
+
+def _coords(args, poly, algebra, settings):
+    return _named(algebra, **dict(zip("1ijk", center_coordinates(poly).parts())))
+
+
+def _classify(args, poly, algebra, settings):
+    if settings is None:
+        return _report(classify(poly))
+    return _report(classify_f64(poly, settings))
+
+
+def _spherical(args, poly, algebra, settings):
+    if settings is None:
+        rep = spherical_bound_report(poly)
+        bound, spheres, num = rep.bound, rep.spherical, str
     else:
-        roots = "none"
-    lines.append(f"central roots: {roots}")
-    if not report.class_entries:
-        lines.append("non-central classes: none")
-    for cls, status in report.class_entries:
-        lines.append(f"{cls}: {_status_text(status)}")
-    return lines
+        report = classify_f64(poly, settings)
+        bound, spheres, num = report.degree // 2, report.spherical_classes, _f
+    result = {
+        "bound": bound,
+        "count": len(spheres),
+        "classes": [{"trace": num(c.trace), "norm": num(c.norm)} for c in spheres],
+    }
+    lines = [f"spherical classes: {len(spheres)} (bound {bound})"] + [
+        f"sphere(trace={num(c.trace)}, norm={num(c.norm)})" for c in spheres
+    ]
+    if settings is not None:
+        return result, lines, "structure checks at the bound are exact-backend only"
+    result["equality_parity"] = rep.equality_parity
+    result["coefficients_central"] = rep.coefficients_central
+    result["coefficients_commute"] = rep.coefficients_commute
+    if rep.equality_parity is not None:
+        lines.append(f"bound attained, {rep.equality_parity} structure verified")
+    return result, lines
 
 
-def _poly_text(label: str, poly) -> str:
-    return f"{label}: {poly}"
+def _analyze(args, poly, algebra, settings):
+    analysis = analyze_sparse(poly)
+    factor = analysis.candidate_factor
+    result = {
+        "applicable": analysis.applicable,
+        "reason": analysis.reason,
+        "case": analysis.case,
+        "low_position": analysis.low_position,
+        "high_position": analysis.high_position,
+        "bound": analysis.bound,
+        "candidate_factor": None if factor is None else poly_to_json_obj(factor, algebra),
+        "spherical_found": analysis.spherical_found,
+    }
+    if not analysis.applicable:
+        return result, [f"not applicable: {analysis.reason}"]
+    lines = [
+        f"case: {analysis.case}",
+        f"noncentral positions: {analysis.low_position}, {analysis.high_position}",
+        f"spherical bound: {analysis.bound}",
+        f"spherical found: {analysis.spherical_found}",
+    ]
+    if factor is not None:
+        lines.append(f"candidate factor: {factor}")
+    return result, lines
+
+
+def _cubic(args, poly, algebra, settings):
+    analysis = classify_cubic(poly)
+    result = {
+        "case": analysis.case,
+        "bound": analysis.bound,
+        "spherical_found": analysis.spherical_found,
+    }
+    lines = [
+        f"case: {analysis.case}",
+        f"spherical bound: {analysis.bound}",
+        f"spherical found: {analysis.spherical_found}",
+    ]
+    return result, lines
+
+
+def _nonroots(args, poly, algebra, settings):
+    point = parse_quaternion(args.at, algebra)
+    return _quats("conjugates", nonroot_conjugates(poly, point, args.k))
+
+
+def _subfield_roots(args, poly, algebra, settings):
+    generator = parse_quaternion(args.subfield, algebra)
+    if settings is None:
+        return _quats("roots", roots_in_subfield(poly, generator))
+    return _quats("roots", roots_in_subfield_f64(poly, generator, settings))
+
+
+# -- the command table ------------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    help: str
+    # returns (json result, text lines) plus any diagnostic notes
+    run: Callable
+    numeric: bool
+    arguments: tuple = ()
+
+
+def _operand(metavar: str):
+    return ("poly2",), {"metavar": metavar, "help": f"{metavar} expression"}
+
+
+_AT = ("--at",), {"required": True, "metavar": "QUAT",
+                  "help": "quaternion point, literal syntax"}
+_K = ("-k",), {"type": int, "default": 5, "metavar": "COUNT",
+               "help": "how many conjugates to produce (default 5)"}
+_SUBFIELD = ("--subfield",), {"required": True, "metavar": "QUAT",
+                              "help": "non-central generator of the subfield"}
+
+_COMMANDS = {
+    "eval": _Command("right evaluation at a point", _eval, True, (_AT,)),
+    "divrem": _Command("right division with remainder", _divrem, False,
+                       (_operand("divisor"),)),
+    "gcrd": _Command("greatest common right divisor", _gcrd, False, (_operand("other"),)),
+    "mul": _Command("ordered product", _mul, False, (_operand("other"),)),
+    "decompose": _Command("leading * reduced * central factorization", _decompose, False),
+    "coords": _Command("coordinates over the center, basis 1 i j k", _coords, False),
+    "classify": _Command("root classes: central, spherical, isolated", _classify, True),
+    "spherical": _Command("spherical classes against the degree/2 bound", _spherical, True),
+    "analyze": _Command("sparse two-noncentral-coefficient analysis", _analyze, False),
+    "cubic": _Command("cubic case analysis", _cubic, False),
+    "nonroots": _Command("distinct non-root conjugates of a point", _nonroots, False,
+                         (_AT, _K)),
+    "subfield-roots": _Command("roots inside one maximal subfield", _subfield_roots, True,
+                               (_SUBFIELD,)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -179,222 +302,48 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--eps", type=float, default=None,
                         help="numeric zero tolerance (implies class tolerance 10*eps)")
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0,
-                        help="random seed echoed into the run config")
 
     parser = _Parser(prog="quatpoly", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def cmd(name: str, help_text: str, *, poly2: Optional[str] = None,
-            at: bool = False, k: bool = False, subfield: bool = False):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
         p.add_argument("poly", help="polynomial expression")
-        if poly2 is not None:
-            p.add_argument("poly2", metavar=poly2, help=f"{poly2} expression")
-        if at:
-            p.add_argument("--at", required=True, metavar="QUAT",
-                           help="quaternion point, literal syntax")
-        if k:
-            p.add_argument("-k", type=int, default=5, metavar="COUNT",
-                           help="how many conjugates to produce (default 5)")
-        if subfield:
-            p.add_argument("--subfield", required=True, metavar="QUAT",
-                           help="non-central generator of the subfield")
-        return p
-
-    cmd("eval", "right evaluation at a point", at=True)
-    cmd("divrem", "right division with remainder", poly2="divisor")
-    cmd("gcrd", "greatest common right divisor", poly2="other")
-    cmd("mul", "ordered product", poly2="other")
-    cmd("decompose", "leading * reduced * central factorization")
-    cmd("coords", "coordinates over the center, basis 1 i j k")
-    cmd("classify", "root classes: central, spherical, isolated")
-    cmd("spherical", "spherical classes against the degree/2 bound")
-    cmd("analyze", "sparse two-noncentral-coefficient analysis")
-    cmd("cubic", "cubic case analysis")
-    cmd("nonroots", "distinct non-root conjugates of a point", at=True, k=True)
-    cmd("subfield-roots", "roots inside one maximal subfield", subfield=True)
+        for flags, options in command.arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
-_EXACT_ONLY = {
-    "divrem", "gcrd", "mul", "decompose", "coords", "analyze", "cubic", "nonroots",
-}
-
-
-def _run(args) -> tuple[dict, list[str], list[str]]:
-    """Execute one command; returns (json result, text lines, diagnostics)."""
+def _run(args) -> list[str]:
+    """Execute one command; returns the lines to print."""
     algebra = _parse_algebra(args.algebra)
-    numeric = args.numeric
-    if numeric and args.command in _EXACT_ONLY:
+    command = _COMMANDS[args.command]
+    if args.numeric and not command.numeric:
         raise PreconditionError(f"command {args.command!r} has no numeric backend")
-    st = _settings(args.eps)
+    settings = _settings(args.eps)  # validates --eps on both backends
     poly = parse_to_qpoly(args.poly, algebra)
-    diagnostics: list[str] = []
+    result, lines, *diagnostics = command.run(
+        args, poly, algebra, settings if args.numeric else None
+    )
+    if args.format == "text":
+        return lines + [f"note: {note}" for note in diagnostics]
+    doc = {
+        "command": args.command,
+        "algebra": {"a": str(algebra.a), "b": str(algebra.b)},
+        "backend": "numeric" if args.numeric else "exact",
+        "input": _input_echo(args),
+        "result": result,
+        "diagnostics": diagnostics,
+    }
+    return [json.dumps(doc, indent=2)]
 
-    if args.command == "eval":
-        point = parse_quaternion(args.at, algebra)
-        if numeric:
-            value = eval_f64(poly, point)
-            return {"value": _quatf_json(value)}, [f"P({args.at}) = {value}"], diagnostics
-        value = eval_right(poly, point)
-        return {"value": quat_to_json(value)}, [f"P({args.at}) = {value}"], diagnostics
 
-    if args.command == "divrem":
-        divisor = parse_to_qpoly(args.poly2, algebra)
-        quotient, remainder = right_divrem(poly, divisor)
-        result = {
-            "quotient": poly_to_json_obj(quotient),
-            "remainder": poly_to_json_obj(remainder),
-        }
-        lines = [_poly_text("quotient", quotient), _poly_text("remainder", remainder)]
-        return result, lines, diagnostics
-
-    if args.command == "gcrd":
-        other = parse_to_qpoly(args.poly2, algebra)
-        g = gcrd(poly, other)
-        return {"gcrd": poly_to_json_obj(g)}, [_poly_text("gcrd", g)], diagnostics
-
-    if args.command == "mul":
-        other = parse_to_qpoly(args.poly2, algebra)
-        product = poly * other
-        return {"product": poly_to_json_obj(product)}, [_poly_text("product", product)], diagnostics
-
-    if args.command == "decompose":
-        fact = beck_decompose(poly)
-        result = {
-            "leading": quat_to_json(fact.leading),
-            "reduced": poly_to_json_obj(fact.reduced),
-            "central": poly_to_json_obj(fact.central, algebra),
-        }
-        lines = [
-            f"leading: {fact.leading}",
-            _poly_text("reduced", fact.reduced),
-            _poly_text("central", fact.central),
-        ]
-        return result, lines, diagnostics
-
-    if args.command == "coords":
-        coords = center_coordinates(poly)
-        result = {
-            "1": poly_to_json_obj(coords.scalar_part, algebra),
-            "i": poly_to_json_obj(coords.i_part, algebra),
-            "j": poly_to_json_obj(coords.j_part, algebra),
-            "k": poly_to_json_obj(coords.k_part, algebra),
-        }
-        lines = [
-            _poly_text("1", coords.scalar_part),
-            _poly_text("i", coords.i_part),
-            _poly_text("j", coords.j_part),
-            _poly_text("k", coords.k_part),
-        ]
-        return result, lines, diagnostics
-
-    if args.command == "classify":
-        if numeric:
-            report = classify_f64(poly, st)
-            return _report_json(report, exact=False), _report_text(report), diagnostics
-        report = classify(poly)
-        return _report_json(report, exact=True), _report_text(report), diagnostics
-
-    if args.command == "spherical":
-        if numeric:
-            report = classify_f64(poly, st)
-            spheres = [
-                cls
-                for cls, status in report.class_entries
-                if isinstance(status, SphericalRoots)
-            ]
-            bound = report.degree // 2
-            diagnostics.append("structure checks at the bound are exact-backend only")
-            result = {
-                "bound": bound,
-                "count": len(spheres),
-                "classes": [
-                    {"trace": _f(c.trace), "norm": _f(c.norm)} for c in spheres
-                ],
-            }
-            lines = [f"spherical classes: {len(spheres)} (bound {bound})"] + [
-                f"sphere(trace={_f(c.trace)}, norm={_f(c.norm)})" for c in spheres
-            ]
-            return result, lines, diagnostics
-        rep = spherical_bound_report(poly)
-        result = {
-            "bound": rep.bound,
-            "count": rep.count,
-            "classes": [
-                {"trace": str(c.trace), "norm": str(c.norm)} for c in rep.spherical
-            ],
-            "equality_parity": rep.equality_parity,
-            "coefficients_central": rep.coefficients_central,
-            "coefficients_commute": rep.coefficients_commute,
-        }
-        lines = [f"spherical classes: {rep.count} (bound {rep.bound})"]
-        lines += [str(c) for c in rep.spherical]
-        if rep.equality_parity is not None:
-            lines.append(f"bound attained, {rep.equality_parity} structure verified")
-        return result, lines, diagnostics
-
-    if args.command == "analyze":
-        analysis = analyze_sparse(poly)
-        result = {
-            "applicable": analysis.applicable,
-            "reason": analysis.reason,
-            "case": analysis.case,
-            "low_position": analysis.low_position,
-            "high_position": analysis.high_position,
-            "bound": analysis.bound,
-            "candidate_factor": (
-                None
-                if analysis.candidate_factor is None
-                else poly_to_json_obj(analysis.candidate_factor, algebra)
-            ),
-            "spherical_found": analysis.spherical_found,
-        }
-        if not analysis.applicable:
-            lines = [f"not applicable: {analysis.reason}"]
-        else:
-            lines = [
-                f"case: {analysis.case}",
-                f"noncentral positions: {analysis.low_position}, {analysis.high_position}",
-                f"spherical bound: {analysis.bound}",
-                f"spherical found: {analysis.spherical_found}",
-            ]
-            if analysis.candidate_factor is not None:
-                lines.append(_poly_text("candidate factor", analysis.candidate_factor))
-        return result, lines, diagnostics
-
-    if args.command == "cubic":
-        analysis = classify_cubic(poly)
-        result = {
-            "case": analysis.case,
-            "bound": analysis.bound,
-            "spherical_found": analysis.spherical_found,
-        }
-        lines = [
-            f"case: {analysis.case}",
-            f"spherical bound: {analysis.bound}",
-            f"spherical found: {analysis.spherical_found}",
-        ]
-        return result, lines, diagnostics
-
-    if args.command == "nonroots":
-        point = parse_quaternion(args.at, algebra)
-        conjugates = nonroot_conjugates(poly, point, args.k)
-        result = {"conjugates": [quat_to_json(c) for c in conjugates]}
-        return result, [str(c) for c in conjugates], diagnostics
-
-    if args.command == "subfield-roots":
-        generator = parse_quaternion(args.subfield, algebra)
-        if numeric:
-            roots_f = roots_in_subfield_f64(poly, generator, st)
-            result = {"roots": [_quatf_json(r) for r in roots_f]}
-            return result, [str(r) for r in roots_f], diagnostics
-        roots = roots_in_subfield(poly, generator)
-        result = {"roots": [quat_to_json(r) for r in roots]}
-        return result, [str(r) for r in roots], diagnostics
-
-    raise _UsageError(f"unknown command {args.command!r}")
+def _input_echo(args) -> dict:
+    echo = {"poly": args.poly}
+    for field in ("poly2", "at", "subfield", "k", "eps"):
+        value = getattr(args, field, None)
+        if value is not None:
+            echo[field] = value
+    return echo
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -410,12 +359,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        result, lines, diagnostics = _run(args)
+        output = _run(args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
-        return 1
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 1
     except ZeroDivisorError as err:
         print(f"algebra error: {err}", file=sys.stderr)
@@ -429,39 +375,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolation as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 5
-
-    if args.format == "json":
-        algebra = _parse_algebra(args.algebra)
-        doc = {
-            "command": args.command,
-            "algebra": {"a": str(algebra.a), "b": str(algebra.b)},
-            "backend": "numeric" if args.numeric else "exact",
-            "input": _input_echo(args),
-            "result": result,
-            "diagnostics": diagnostics,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in lines:
-            print(line)
-        for note in diagnostics:
-            print(f"note: {note}")
+    for line in output:
+        print(line)
     return 0
-
-
-def _input_echo(args) -> dict:
-    echo = {"poly": args.poly}
-    for field in ("poly2", "at", "subfield"):
-        value = getattr(args, field, None)
-        if value is not None:
-            echo[field] = value
-    if getattr(args, "k", None) is not None and args.command == "nonroots":
-        echo["k"] = args.k
-    if args.eps is not None:
-        echo["eps"] = args.eps
-    if args.seed:
-        echo["seed"] = args.seed
-    return echo
 
 
 if __name__ == "__main__":

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ._realroots import real_poly_roots
+from ._realroots import fold_cluster, real_poly_roots
 from .algebra import HAMILTON, Quaternion, SphereClass, is_rational_square
-from .errors import NumericFailure, PreconditionError, ZeroDivisorError
+from .errors import NumericFailure, PreconditionError
 from .polynomials import CentralPoly, QPoly
 from .roots import (
     ClassStatus,
@@ -68,9 +68,6 @@ class QuatF:
             if not math.isfinite(value):
                 raise PreconditionError(f"non-finite component {name}={value!r}")
             object.__setattr__(self, name, value)
-
-    def __str__(self) -> str:
-        return f"({self.w:.6g}, {self.x:.6g}, {self.y:.6g}, {self.z:.6g})"
 
     @classmethod
     def from_exact(cls, q: Quaternion) -> "QuatF":
@@ -296,32 +293,6 @@ def companion_roots_f64(
 # -- classification engine ----------------------------------------------------
 
 
-def _fold_cluster(points: Sequence[complex], tol: float) -> list[list[int]]:
-    """Single-linkage index clusters at the given relative tolerance."""
-    m = len(points)
-    parent = list(range(m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(m):
-        for b in range(a + 1, m):
-            scale = 1.0 + 0.5 * (abs(points[a]) + abs(points[b]))
-            if abs(points[a] - points[b]) <= tol * scale:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for idx in range(m):
-        groups.setdefault(find(idx), []).append(idx)
-    out = list(groups.values())
-    out.sort(key=lambda g: (points[g[0]].real, points[g[0]].imag))
-    return out
-
-
 @dataclass
 class _Item:
     kind: str                     # "central" or "sphere"
@@ -531,7 +502,7 @@ def _heal(
     level = 4.0 * st.cluster_tol
     while level <= cap and len(items) > 1:
         positions = [it.position() for it in items]
-        index_groups = _fold_cluster(positions, level)
+        index_groups = fold_cluster(positions, level)
         if len(index_groups) < len(items):
             new_items: list[_Item] = []
             consumed: set[int] = set()
@@ -579,7 +550,7 @@ def classify_f64(poly: PolyLike, settings: NumericSettings | None = None) -> Roo
     folded = [complex(z.real, abs(z.imag)) for z in roots]
     items = [
         _settle(coeffs, comp, [folded[idx] for idx in group], st)
-        for group in _fold_cluster(folded, st.cluster_tol)
+        for group in fold_cluster(folded, st.cluster_tol)
     ]
     items = _dedupe(items, st)
     items = _heal(items, coeffs, comp, st)
@@ -641,16 +612,6 @@ class AgreementReport:
     flagged: tuple[str, ...]
     exact_report: RootReport
     numeric_report: RootReport
-
-
-def _status_kind(status) -> str:
-    if isinstance(status, SphericalRoots):
-        return "spherical"
-    if isinstance(status, IsolatedRoot):
-        return "isolated"
-    if isinstance(status, NoRootInClass):
-        return "no-root"
-    return "uncertain"
 
 
 def agree_with_exact(
@@ -737,7 +698,7 @@ def agree_with_exact(
             ),
             None,
         )
-        kind = _status_kind(status)
+        kind = status.kind
         if hit is None:
             if kind == "no-root":
                 # A certified class without roots need not resurface on
@@ -752,7 +713,7 @@ def agree_with_exact(
                 mismatches.append(f"exact {kind} class {cls} missing numerically")
             continue
         leftovers.remove(hit)
-        numeric_kind = _status_kind(hit[1])
+        numeric_kind = hit[1].kind
         if numeric_kind == kind:
             matched.append(
                 f"{kind} class {cls} ~ ({hit[0].trace:.12g}, {hit[0].norm:.12g})"
@@ -781,7 +742,7 @@ def agree_with_exact(
                 "certifiable at rationalized invariants"
             )
     for cls, status in leftovers:
-        kind = _status_kind(status)
+        kind = status.kind
         if kind == "no-root":
             continue
         rt = Fraction(cls.trace).limit_denominator(10**6)

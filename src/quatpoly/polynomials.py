@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .algebra import (
     AlgebraParams,
@@ -31,8 +31,6 @@ from .errors import PreconditionError
 
 #: Degree of the zero polynomial; compares below every integer degree.
 MINUS_INFINITY = float("-inf")
-
-_Scalar = Union[int, Fraction]
 
 
 def _format_terms(parts: list[tuple[str, str]]) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from . import _linalg
 from ._realroots import pair_and_cluster, real_poly_roots
@@ -49,6 +49,8 @@ from .polynomials import CentralPoly, QPoly, minimal_polynomial
 class SphericalRoots:
     """Every element of the class is a root."""
 
+    kind: ClassVar[str] = "spherical"
+
     def __str__(self) -> str:
         return "spherical roots (the whole class)"
 
@@ -56,6 +58,8 @@ class SphericalRoots:
 @dataclass(frozen=True)
 class IsolatedRoot:
     """Exactly one root in the class; ``representative`` is it."""
+
+    kind: ClassVar[str] = "isolated"
 
     representative: Quaternion
 
@@ -67,6 +71,8 @@ class IsolatedRoot:
 class NoRootInClass:
     """No root in the class; (alpha, beta) is the deciding remainder."""
 
+    kind: ClassVar[str] = "no-root"
+
     alpha: Quaternion
     beta: Quaternion
 
@@ -77,6 +83,8 @@ class NoRootInClass:
 @dataclass(frozen=True)
 class UncertainStatus:
     """Float-backend outcome too close to a tolerance to call."""
+
+    kind: ClassVar[str] = "uncertain"
 
     alpha: object
     beta: object
@@ -189,7 +197,7 @@ def candidate_classes(
     reals, spheres = pair_and_cluster(roots, cluster_tol)
     found: list[ConjClass] = []
     seen: set = set()
-    for value, _ in reals:
+    for value in reals:
         r = Fraction(value).limit_denominator(max_denominator)
         if abs(float(r) - value) > tolerance * (1.0 + abs(value)):
             continue
@@ -197,7 +205,7 @@ def candidate_classes(
             continue
         seen.add(("central", r))
         found.append(CentralClass(r))
-    for (t, n), _ in spheres:
+    for t, n in spheres:
         rt = Fraction(t).limit_denominator(max_denominator)
         rn = Fraction(n).limit_denominator(max_denominator)
         if abs(float(rt) - t) > tolerance * (1.0 + abs(t)):

@@ -5,7 +5,20 @@ from pathlib import Path
 
 import pytest
 
-from quatpoly import InvariantViolation, cli
+from quatpoly import (
+    HAMILTON,
+    CentralClassF,
+    InvariantViolation,
+    IsolatedRoot,
+    NoRootInClass,
+    QuatF,
+    RootReport,
+    SphereClass,
+    SphereClassF,
+    SphericalRoots,
+    UncertainStatus,
+    cli,
+)
 from quatpoly.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -126,6 +139,25 @@ class TestJsonFormat:
         assert doc["input"] == {"poly": "x^2 + 1", "at": "j"}
         assert doc["result"]["value"] == ["0", "0", "0", "0"]
 
+    @pytest.mark.parametrize("argv,echo", [
+        pytest.param(("divrem", "x^3 - 1", "x - i"),
+                     {"poly": "x^3 - 1", "poly2": "x - i"}, id="divrem"),
+        pytest.param(("nonroots", "x^2 + x + 1", "--at", "i", "-k", "3"),
+                     {"poly": "x^2 + x + 1", "at": "i", "k": 3}, id="nonroots"),
+        pytest.param(("nonroots", "x^2 + x + 1", "--at", "i"),
+                     {"poly": "x^2 + x + 1", "at": "i", "k": 5}, id="nonroots-default-k"),
+        pytest.param(("subfield-roots", "x^2 + 1", "--subfield", "j"),
+                     {"poly": "x^2 + 1", "subfield": "j"}, id="subfield-roots"),
+        pytest.param(("classify", "x^2 + 1", "--numeric", "--eps", "1e-7"),
+                     {"poly": "x^2 + 1", "eps": 1e-7}, id="numeric-eps"),
+        pytest.param(("classify", "x^2 + 1", "--eps", "1e-7"),
+                     {"poly": "x^2 + 1", "eps": 1e-7}, id="exact-eps"),
+    ])
+    def test_input_echo(self, capsys, argv, echo):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["input"] == echo
+
     @pytest.mark.parametrize("index,text", list(enumerate(CUBIC_EXAMPLES, start=1)))
     def test_golden_classifications_stable(self, capsys, index, text):
         code, out, _ = run(capsys, "classify", text, "--format", "json")
@@ -166,15 +198,34 @@ class TestExitCodes:
         assert code == 2
         assert "zero norm" in err
 
-    def test_precondition_is_3(self, capsys):
-        code, _, err = run(capsys, "divrem", "x", "x - i", "--numeric")
+    @pytest.mark.parametrize("argv", [
+        ("divrem", "x", "x - i"),
+        ("gcrd", "x", "x - i"),
+        ("mul", "x", "x - i"),
+        ("decompose", "x"),
+        ("coords", "x"),
+        ("analyze", "x"),
+        ("cubic", "x^3"),
+        ("nonroots", "x", "--at", "i"),
+    ], ids=lambda argv: argv[0])
+    def test_precondition_is_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--numeric")
         assert code == 3
-        assert "no numeric backend" in err
+        assert out == ""
+        assert f"command {argv[0]!r} has no numeric backend" in err
 
     def test_bad_eps_is_3(self, capsys):
-        code, _, err = run(capsys, "classify", "x", "--numeric", "--eps", "-1")
-        assert code == 3
-        assert "--eps must be positive" in err
+        # --eps is validated on the exact backend too
+        for backend in (("--numeric",), ()):
+            code, _, err = run(capsys, "classify", "x", *backend, "--eps", "-1")
+            assert code == 3
+            assert "--eps must be positive" in err
+
+    def test_seed_option_is_gone(self, capsys):
+        code, out, err = run(capsys, "classify", "x", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --seed 1" in err
 
     def test_numeric_failure_is_4(self, capsys):
         code, _, err = run(capsys, "classify",
@@ -213,3 +264,75 @@ class TestNumericDiagnostics:
         assert code == 0
         doc = json.loads(out)
         assert any("exact" in d for d in doc["diagnostics"])
+
+
+class TestStatusVocabulary:
+    """Every class status renders under its own name, in JSON and text."""
+
+    EXACT = RootReport(
+        degree=5,
+        central_roots=(),
+        class_entries=(
+            (SphereClass(0, 1), SphericalRoots()),
+            (SphereClass(0, 2), IsolatedRoot(HAMILTON.quat(0, 1, 1, 0))),
+            (SphereClass(1, 1), NoRootInClass(HAMILTON.zero, HAMILTON.one)),
+        ),
+        candidate_source="exact",
+    )
+    NUMERIC = RootReport(
+        degree=4,
+        central_roots=(),
+        class_entries=(
+            (CentralClassF(0.5), UncertainStatus(None, None, "central residual in band")),
+            (SphereClassF(0.0, 2.0), IsolatedRoot(QuatF(0.0, 1.0, 1.0, 0.0))),
+            (SphereClassF(1.0, 1.0), UncertainStatus(None, None, "remainder in band")),
+        ),
+        candidate_source="numeric",
+    )
+
+    @pytest.fixture(autouse=True)
+    def fake_reports(self, monkeypatch):
+        monkeypatch.setattr(cli, "classify", lambda poly: self.EXACT)
+        monkeypatch.setattr(cli, "classify_f64", lambda poly, settings: self.NUMERIC)
+
+    def test_exact_json(self, capsys):
+        code, out, _ = run(capsys, "classify", "x^5", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"]["classes"] == [
+            {"trace": "0", "norm": "1", "status": "spherical"},
+            {"trace": "0", "norm": "2", "status": "isolated",
+             "representative": ["0", "1", "1", "0"]},
+            {"trace": "1", "norm": "1", "status": "no-root"},
+        ]
+
+    def test_numeric_json(self, capsys):
+        code, out, _ = run(capsys, "classify", "x^4", "--numeric", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"]["classes"] == [
+            {"value": 0.5, "status": "uncertain", "reason": "central residual in band"},
+            {"trace": 0.0, "norm": 2.0, "status": "isolated",
+             "representative": [0.0, 1.0, 1.0, 0.0]},
+            {"trace": 1.0, "norm": 1.0, "status": "uncertain", "reason": "remainder in band"},
+        ]
+
+    def test_exact_text(self, capsys):
+        code, out, _ = run(capsys, "classify", "x^5")
+        assert code == 0
+        assert out.splitlines() == [
+            "degree: 5",
+            "central roots: none",
+            "sphere(trace=0, norm=1): spherical roots (the whole class)",
+            "sphere(trace=0, norm=2): isolated root i + j",
+            "sphere(trace=1, norm=1): no root in this class",
+        ]
+
+    def test_numeric_text(self, capsys):
+        code, out, _ = run(capsys, "classify", "x^4", "--numeric")
+        assert code == 0
+        assert out.splitlines() == [
+            "degree: 4",
+            "central roots: none",
+            "central(0.5): uncertain: central residual in band",
+            "sphere(trace=0, norm=2): isolated root (0, 1, 1, 0)",
+            "sphere(trace=1, norm=1): uncertain: remainder in band",
+        ]
