@@ -10,7 +10,8 @@ divisor, and P factors as
 
 with c the leading coefficient and G monic with no nonconstant central
 right divisor (Beck's decomposition).  Central (rational) roots of P
-are exactly the rational roots of H.
+are exactly the rational roots of H; they are found by p-adic lifting
+on the square-free part of H, which factors no integer.
 
 The same expansion relative to a quadratic subfield F(s) writes
 P = b1 + u*b2 with b1, b2 over F(s); their gcd collects every root of P
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import count
+from math import isqrt
 
 from . import _linalg
 from .algebra import AlgebraParams, Quaternion, commutes
@@ -133,34 +135,30 @@ def max_central_right_divisor(poly: QPoly) -> CentralPoly:
     return beck_decompose(poly).central
 
 
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of n >= 1, sorted, from its factorization.
-
-    Trial division divides each prime out as it is found, so the search
-    stops at the square root of the remaining cofactor.
-    """
-    out = [1]
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            power = 0
-            while n % d == 0:
-                n //= d
-                power += 1
-            out = [x * d**e for x in out for e in range(power + 1)]
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out += [x * n for x in out]
-    return sorted(out)
+def _eval_mod(ints: list[int], point: int, modulus: int) -> int:
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * point + c) % modulus
+    return acc
 
 
 def rational_roots(poly: CentralPoly) -> list[Fraction]:
     """All rational roots of a nonzero rational polynomial, sorted.
 
-    Classical rational-root sieve: after clearing denominators and
-    stripping powers of x, candidate roots p/q run over divisors of the
-    constant and leading coefficients; each candidate is confirmed by
-    exact evaluation.
+    p-adic rational-zero algorithm (Loos 1983); no integer is factored.
+    After stripping powers of x, let f be the primitive integer form of
+    the square-free part, of degree n with leading coefficient L.  Its
+    rational roots are y/L for the integer roots y of the monic
+    g(y) = L^(n-1) f(y/L), and each such y divides g(0) != 0.  At the
+    smallest prime p > n where every root of g mod p is simple (only the
+    primes dividing the discriminant of the square-free g fail), Newton's
+    iteration lifts each root mod p to a modulus M = p^(2^k) > 2|g(0)|;
+    the symmetric residue y is kept when y/L is a root of the input,
+    confirmed by exact evaluation.
+
+    Complete: an integer root y of g is a simple root mod p, whose lift
+    to each power of p is unique, and |y| <= |g(0)| < M/2, so y is the
+    symmetric residue of one lift.
     """
     if poly.is_zero:
         raise PreconditionError("every rational is a root of the zero polynomial")
@@ -170,15 +168,25 @@ def rational_roots(poly: CentralPoly) -> list[Fraction]:
         roots.add(Fraction(0))
         coeffs.pop(0)
     if len(coeffs) > 1:
-        ints = _primitive(_to_ints(coeffs)[0])
-        denominators = _divisors(abs(ints[-1]))
-        for p in _divisors(abs(ints[0])):
-            for q in denominators:
-                if gcd(p, q) != 1:
-                    continue
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if poly.evaluate(cand) == 0:
-                        roots.add(cand)
+        f = _primitive(_to_ints(CentralPoly(coeffs).squarefree_part().coeffs)[0])
+        n, lead = len(f) - 1, f[-1]
+        g = [c * lead ** (n - 1 - k) for k, c in enumerate(f[:-1])] + [1]
+        dg = [k * c for k, c in enumerate(g)][1:]
+        p = n
+        while True:  # ends: g is square-free
+            p = next(q for q in count(p + 1) if all(q % d for d in range(2, isqrt(q) + 1)))
+            lifts = [r for r in range(p) if _eval_mod(g, r, p) == 0]
+            if all(_eval_mod(dg, r, p) for r in lifts):
+                break
+        modulus = p
+        while modulus <= 2 * abs(g[0]):
+            modulus *= modulus
+            lifts = [(r - _eval_mod(g, r, modulus) * pow(_eval_mod(dg, r, modulus), -1, modulus))
+                     % modulus for r in lifts]
+        for r in lifts:
+            cand = Fraction(r - modulus if 2 * r > modulus else r, lead)
+            if poly.evaluate(cand) == 0:
+                roots.add(cand)
     return sorted(roots)
 
 

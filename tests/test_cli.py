@@ -265,6 +265,18 @@ class TestNumericDiagnostics:
         doc = json.loads(out)
         assert any("exact" in d for d in doc["diagnostics"])
 
+    @pytest.mark.parametrize("eps", ["1e-7", "1e-6", "1e-5"])
+    def test_loose_eps_keeps_healed_sphere(self, capsys, eps):
+        # the clustering tolerance follows --eps; at a fixed 1e-6 these
+        # reported the raw eigenvalue scatter point (trace ~ -1e-5)
+        code, out, _ = run(capsys, "classify", "(x^2 + 1)(x - i)", "--numeric",
+                           "--eps", eps, "--format", "json")
+        assert code == 0
+        (cls,) = json.loads(out)["result"]["classes"]
+        assert cls["status"] == "spherical"
+        assert abs(cls["trace"]) < 1e-9
+        assert abs(cls["norm"] - 1) < 1e-9
+
 
 class TestStatusVocabulary:
     """Every class status renders under its own name, in JSON and text."""

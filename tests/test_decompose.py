@@ -16,6 +16,7 @@ from quatpoly import (
     commutes,
     eval_right,
     max_central_right_divisor,
+    parse_to_qpoly,
     rational_roots,
     right_divrem,
     roots_in_center,
@@ -121,6 +122,59 @@ class TestRationalRoots:
             p = p * CentralPoly((-r, 1))
         assert rational_roots(p) == sorted(set(roots))
 
+    # huge primes in a denominator or in the constant term
+
+    def test_denominator_near_10_to_18(self):
+        p = CentralPoly((Fraction(-7, 10**18 + 9), 1))
+        assert rational_roots(p) == [Fraction(7, 10**18 + 9)]
+
+    def test_large_prime_in_constant(self):
+        # (x - 3)(x^2 + 1000000000039)
+        n = 10**12 + 39
+        assert rational_roots(CentralPoly((-3 * n, n, -3, 1))) == [Fraction(3)]
+
+    def test_repeated_roots_and_factors(self):
+        # (x - 1)^3 (x + 2)^2 (x^2 + 2)^2: needs the square-free part, since
+        # a repeated root is a repeated root modulo every prime
+        p = (CentralPoly((-1, 1)) ** 3 * CentralPoly((2, 1)) ** 2
+             * CentralPoly((2, 0, 1)) ** 2)
+        assert rational_roots(p) == [Fraction(-2), Fraction(1)]
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+_HUGE_PRIMES = (10**18 + 9, 2**61 - 1)
+
+
+@st.composite
+def products_with_rational_roots(draw):
+    """Planted rational roots of multiplicity 1-3 times random integer
+    factors of degree 2-3, under a nonmonic leading coefficient."""
+    p = CentralPoly((draw(st.sampled_from([1, -1, 2, 3, -4, 6, 35])),))
+    for _ in range(draw(st.integers(0, 3))):
+        num = draw(st.integers(-40, 40))
+        den = draw(st.one_of(st.integers(1, 12), st.sampled_from(_HUGE_PRIMES)))
+        p = p * CentralPoly((-Fraction(num, den), 1)) ** draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        body = draw(st.lists(st.integers(-30, 30), min_size=2, max_size=3))
+        p = p * CentralPoly(body + [draw(st.integers(1, 9))])
+    return p
+
+
+class TestRationalRootsOracle:
+    @given(products_with_rational_roots())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sympy_linear_factors(self, sympy, p):
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        factors = sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ").factor_list()[1]
+        expected = sorted({-Fraction(int(c0.p), int(c0.q)) / Fraction(int(c1.p), int(c1.q))
+                           for f, _ in factors if f.degree() == 1
+                           for c1, c0 in [f.all_coeffs()]})
+        assert rational_roots(p) == expected
+
 
 class TestRootsInCenter:
     def test_central_roots_of_mixed_product(self):
@@ -128,6 +182,10 @@ class TestRootsInCenter:
         x = QPoly.x(A)
         p = (x - QPoly.constant(A.i)) * (x + QPoly.constant(A.one)) ** 2
         assert roots_in_center(p) == [Fraction(-1)]
+
+    def test_probe_with_large_prime_norm(self):
+        p = parse_to_qpoly("(x - i)(x^2 + 1000000000039)(x - 3)")
+        assert roots_in_center(p) == [Fraction(3)]
 
     @given(st.data())
     @settings(max_examples=40)
