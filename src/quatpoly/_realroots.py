@@ -33,6 +33,7 @@ def fold_cluster(points: Sequence[complex], tol: float) -> list[list[int]]:
     """Single-linkage index clusters at the given relative tolerance."""
     m = len(points)
     parent = list(range(m))
+    mags = [abs(p) for p in points]
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -41,9 +42,9 @@ def fold_cluster(points: Sequence[complex], tol: float) -> list[list[int]]:
         return a
 
     for a in range(m):
+        pa, ma = points[a], mags[a]
         for b in range(a + 1, m):
-            scale = 1.0 + 0.5 * (abs(points[a]) + abs(points[b]))
-            if abs(points[a] - points[b]) <= tol * scale:
+            if abs(pa - points[b]) <= tol * (1.0 + 0.5 * (ma + mags[b])):
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[rb] = ra

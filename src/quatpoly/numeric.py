@@ -52,6 +52,57 @@ from .roots import (
 
 _MACHINE_EPS = 2.0 ** -52
 
+Quat = tuple[float, float, float, float]  # (w, x, y, z): a quaternion inside the backend
+
+
+def _qmul(p: Quat, q: Quat) -> Quat:
+    """Hamilton product p * q."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 + y1 * w2 + z1 * x2 - x1 * z2,
+        w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2,
+    )
+
+
+def _qnorm(q: Quat) -> float:
+    w, x, y, z = q
+    try:
+        return w**2 + x**2 + y**2 + z**2
+    except OverflowError:  # float ** raises where * would give inf
+        return math.inf
+
+
+def _magnitude(q: Quat) -> float:
+    return math.sqrt(_qnorm(q))
+
+
+def _qinverse(q: Quat) -> Quat:
+    n = _qnorm(q)
+    if n == 0.0:
+        raise ZeroDivisionError("cannot invert the zero quaternion")
+    _finite("quaternion norm", n)
+    w, x, y, z = q
+    return (w / n, -x / n, -y / n, -z / n)
+
+
+def _eval_float(coeffs: Sequence[Quat], point: Quat) -> Quat:
+    """Right evaluation, sum of c_m point^m, by Horner's rule."""
+    acc = (0.0, 0.0, 0.0, 0.0)
+    for cw, cx, cy, cz in reversed(coeffs):
+        w, x, y, z = _qmul(acc, point)
+        acc = (w + cw, x + cx, y + cy, z + cz)
+    return acc
+
+
+def _finite(stage: str, *values: float) -> None:
+    """Refuse non-finite values computed inside the backend."""
+    for value in values:
+        if not math.isfinite(value):
+            raise NumericFailure(f"non-finite {stage}: {value!r}")
+
 
 @dataclass(frozen=True)
 class QuatF:
@@ -76,7 +127,16 @@ class QuatF:
                 "the float backend models the Hamilton algebra (-1, -1); "
                 f"got (a, b) = ({q.algebra.a}, {q.algebra.b})"
             )
-        return cls(float(q.w), float(q.x), float(q.y), float(q.z))
+        coords = []
+        for name in ("w", "x", "y", "z"):
+            try:
+                coords.append(float(getattr(q, name)))
+            except OverflowError:
+                raise PreconditionError(f"component {name} is too large for float64") from None
+        return cls(*coords)
+
+    def _coords(self) -> Quat:
+        return (self.w, self.x, self.y, self.z)
 
     def __add__(self, other: "QuatF") -> "QuatF":
         return QuatF(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
@@ -92,14 +152,7 @@ class QuatF:
             return QuatF(self.w * other, self.x * other, self.y * other, self.z * other)
         if not isinstance(other, QuatF):
             return NotImplemented
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return QuatF(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 + y1 * w2 + z1 * x2 - x1 * z2,
-            w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2,
-        )
+        return QuatF(*_qmul(self._coords(), other._coords()))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
@@ -110,23 +163,25 @@ class QuatF:
         return QuatF(self.w, -self.x, -self.y, -self.z)
 
     def norm(self) -> float:
-        return self.w**2 + self.x**2 + self.y**2 + self.z**2
+        return _qnorm(self._coords())
 
     def trace(self) -> float:
         return 2.0 * self.w
 
     def magnitude(self) -> float:
-        return math.sqrt(self.norm())
+        return _magnitude(self._coords())
 
     def inverse(self) -> "QuatF":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroDivisionError("cannot invert the zero quaternion")
-        c = self.conjugate()
-        return QuatF(c.w / n, c.x / n, c.y / n, c.z / n)
+        return QuatF(*_qinverse(self._coords()))
 
     def __str__(self) -> str:
         return f"({self.w:.12g}, {self.x:.12g}, {self.y:.12g}, {self.z:.12g})"
+
+
+def _quatf(q: Quat, stage: str) -> QuatF:
+    """Hand a computed quaternion out of the backend."""
+    _finite(stage, *q)
+    return QuatF(*q)
 
 
 @dataclass(frozen=True)
@@ -176,51 +231,37 @@ class SphereClassF:
 PolyLike = Union[QPoly, Sequence[QuatF]]
 
 
-def _as_float_coeffs(poly: PolyLike) -> tuple[QuatF, ...]:
+def _as_float_coeffs(poly: PolyLike) -> tuple[Quat, ...]:
     if isinstance(poly, QPoly):
-        coeffs = tuple(QuatF.from_exact(c) for c in poly.coeffs)
+        coeffs = tuple(QuatF.from_exact(c)._coords() for c in poly.coeffs)
     else:
-        coeffs = tuple(poly)
-        for c in coeffs:
+        for c in poly:
             if not isinstance(c, QuatF):
                 raise PreconditionError(f"expected QuatF coefficients, got {c!r}")
-    while coeffs and coeffs[-1].norm() == 0.0:
+        coeffs = tuple(c._coords() for c in poly)
+    while coeffs and _qnorm(coeffs[-1]) == 0.0:
         coeffs = coeffs[:-1]
     return coeffs
-
-
-def _eval_float(coeffs: Sequence[QuatF], point: QuatF) -> QuatF:
-    acc = QuatF(0, 0, 0, 0)
-    for c in reversed(coeffs):
-        acc = acc * point + c
-    return acc
 
 
 def eval_f64(poly: PolyLike, point: Union[QuatF, Quaternion]) -> QuatF:
     """Float right evaluation, sum of a_m q^m with powers on the right."""
     if isinstance(point, Quaternion):
         point = QuatF.from_exact(point)
-    return _eval_float(_as_float_coeffs(poly), point)
+    return _quatf(_eval_float(_as_float_coeffs(poly), point._coords()), "evaluation")
 
 
-def _eval_scale(coeffs: Sequence[QuatF], magnitude: float) -> float:
-    total, power = 0.0, 1.0
-    for c in coeffs:
-        total += c.magnitude() * power
-        power *= magnitude
-    return total
-
-
-def _float_companion(coeffs: Sequence[QuatF]) -> list[float]:
-    conj = [c.conjugate() for c in coeffs]
+def _float_companion(coeffs: Sequence[Quat]) -> list[float]:
+    """The norm form: coefficient k is the sum over m + n = k of <c_m, c_n>."""
     comp = [0.0] * (2 * len(coeffs) - 1)
-    for m, cm in enumerate(coeffs):
-        for n, cn in enumerate(conj):
-            comp[m + n] += (cm * cn).w
+    for m, (w1, x1, y1, z1) in enumerate(coeffs):
+        for k, (w2, x2, y2, z2) in enumerate(coeffs, m):
+            comp[k] += w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2
     return comp
 
 
-def _eval_scale_real(coeffs: Sequence[float], magnitude: float) -> float:
+def _eval_scale(coeffs: Sequence[float], magnitude: float) -> float:
+    """Sum of |c_m| magnitude^m: the size an evaluation is measured against."""
     total, power = 0.0, 1.0
     for c in coeffs:
         total += abs(c) * power
@@ -259,15 +300,18 @@ def companion_roots_f64(
     """Roots of the float companion polynomial, residual-checked.
 
     Raises :class:`NumericFailure` (with partial results attached) when
-    the coefficient spread exceeds ``max_condition``, the eigenvalue
-    solve fails, or any root's residual exceeds eps_zero relative to
-    the evaluation scale.
+    a companion coefficient is not finite, the coefficient spread
+    exceeds ``max_condition``, the eigenvalue solve fails, or any root's
+    residual exceeds eps_zero relative to the evaluation scale.
     """
-    st = settings or NumericSettings()
     coeffs = _as_float_coeffs(poly)
     if not coeffs:
         raise PreconditionError("the zero polynomial has roots everywhere")
-    comp = _float_companion(coeffs)
+    return _companion_roots(_float_companion(coeffs), settings or NumericSettings())
+
+
+def _companion_roots(comp: Sequence[float], st: NumericSettings) -> list[complex]:
+    _finite("companion coefficient", *comp)
     scale = max(abs(v) for v in comp)
     lead = abs(comp[-1])
     if lead == 0.0 or scale / lead > st.max_condition:
@@ -281,7 +325,8 @@ def companion_roots_f64(
         value = 0.0 + 0.0j
         for c in reversed(comp):
             value = value * z + c
-        bound = st.eps_zero * _eval_scale_real(comp, abs(z))
+        bound = st.eps_zero * _eval_scale(comp, abs(z))
+        _finite("companion root residual", abs(value), bound)
         if abs(value) > bound:
             raise NumericFailure(
                 f"companion root {z} has residual {abs(value):.3g} > {bound:.3g}",
@@ -297,11 +342,13 @@ def companion_roots_f64(
 class _Item:
     kind: str                     # "central" or "sphere"
     conf: str                     # "root", "noroot", or "uncertain"
-    status: Optional[ClassStatus]
     points: list[complex]
     value: float = 0.0
     trace: float = 0.0
     norm: float = 0.0
+    remainder: Optional[tuple[Quat, Quat]] = None  # (alpha, beta) of a sphere probe
+    root: Optional[Quat] = None   # the isolated root of a sphere
+    reason: str = ""              # why the item is uncertain
 
     def position(self) -> complex:
         if self.kind == "central":
@@ -310,8 +357,19 @@ class _Item:
             self.trace / 2.0, math.sqrt(max(self.norm - self.trace**2 / 4.0, 0.0))
         )
 
+    def status(self) -> ClassStatus:
+        if self.root:
+            return IsolatedRoot(_quatf(self.root, "isolated root"))
+        if self.conf == "root":
+            return SphericalRoots()
+        alpha, beta = [_quatf(q, "remainder") for q in self.remainder or ()] or (None, None)
+        if self.conf == "noroot":
+            return NoRootInClass(alpha, beta)
+        return UncertainStatus(alpha=alpha, beta=beta, reason=self.reason)
 
-def _zero_call(value: float, threshold: float) -> str:
+
+def _zero_call(value: float, threshold: float, stage: str) -> str:
+    _finite(stage, value, threshold)
     if value <= threshold:
         return "zero"
     if value <= 10.0 * threshold:
@@ -319,51 +377,33 @@ def _zero_call(value: float, threshold: float) -> str:
     return "nonzero"
 
 
-def _quat_quadratic_remainder(
-    coeffs: Sequence[QuatF], t: float, n: float
-) -> tuple[QuatF, QuatF]:
+def _quat_quadratic_remainder(coeffs: Sequence[Quat], t: float, n: float) -> tuple[Quat, Quat]:
     """Remainder of the polynomial modulo the central x^2 - t x + n."""
-    rem = list(coeffs)
-    for d in range(len(rem) - 1, 1, -1):
-        c = rem[d]
-        rem[d - 1] = rem[d - 1] + c * t
-        rem[d - 2] = rem[d - 2] - c * n
-    beta = rem[0] if rem else QuatF(0, 0, 0, 0)
-    alpha = rem[1] if len(rem) > 1 else QuatF(0, 0, 0, 0)
+    # reduce each coordinate row; regroup (quotient, r1, r0) across rows
+    _, alpha, beta = zip(*(_div_quadratic(row, t, n) for row in zip(*coeffs)))
     return alpha, beta
 
 
 def _settle_central(
-    coeffs: Sequence[QuatF],
-    comp: Sequence[float],
-    v: float,
-    points: list[complex],
+    coeffs: Sequence[Quat], mags: Sequence[float], v: float, points: list[complex],
     st: NumericSettings,
 ) -> _Item:
     # No Newton refinement: near a multiple root the float companion is
     # cancellation-noise below the scatter radius, so steps random-walk.
     # Cluster means are already backed by the coefficient sum relations,
     # and the healing pass re-pools fragmented polygons.
-    residual = _eval_float(coeffs, QuatF(v, 0, 0, 0)).magnitude()
-    call = _zero_call(residual, st.eps_zero * _eval_scale(coeffs, abs(v)))
+    residual = _magnitude(_eval_float(coeffs, (v, 0.0, 0.0, 0.0)))
+    call = _zero_call(residual, st.eps_zero * _eval_scale(mags, abs(v)), "central evaluation")
     if call == "zero":
-        return _Item("central", "root", None, points, value=v)
+        return _Item("central", "root", points, value=v)
     if call == "band":
-        status = UncertainStatus(
-            alpha=None,
-            beta=None,
-            reason=f"evaluation residual {residual:.3g} within 10x of the zero tolerance",
-        )
-        return _Item("central", "uncertain", status, points, value=v)
-    return _Item("central", "noroot", None, points, value=v)
+        reason = f"evaluation residual {residual:.3g} within 10x of the zero tolerance"
+        return _Item("central", "uncertain", points, value=v, reason=reason)
+    return _Item("central", "noroot", points, value=v)
 
 
 def _settle_sphere(
-    coeffs: Sequence[QuatF],
-    comp: Sequence[float],
-    t: float,
-    n: float,
-    points: list[complex],
+    coeffs: Sequence[Quat], mags: Sequence[float], t: float, n: float, points: list[complex],
     st: NumericSettings,
 ) -> _Item:
     for _ in range(6):
@@ -371,64 +411,48 @@ def _settle_sphere(
         if disc >= -100.0 * st.eps_class * (1.0 + t * t + 4.0 * abs(n)):
             # A vanishing or positive discriminant is a (near-)central
             # point, not a sphere; hand it to the central path.
-            return _settle_central(coeffs, comp, t / 2.0, points, st)
+            return _settle_central(coeffs, mags, t / 2.0, points, st)
         rho = math.sqrt(max(abs(n), t * t))
-        threshold = st.eps_zero * _eval_scale(coeffs, 1.0 + rho)
-        alpha, beta = _quat_quadratic_remainder(coeffs, t, n)
-        call_a = _zero_call(alpha.magnitude(), threshold)
-        call_b = _zero_call(beta.magnitude(), threshold)
+        threshold = st.eps_zero * _eval_scale(mags, 1.0 + rho)
+        alpha, beta = remainder = _quat_quadratic_remainder(coeffs, t, n)
+        call_a = _zero_call(_magnitude(alpha), threshold, "sphere remainder")
+        call_b = _zero_call(_magnitude(beta), threshold, "sphere remainder")
         if call_a == "zero" and call_b == "zero":
-            return _Item("sphere", "root", SphericalRoots(), points, trace=t, norm=n)
+            return _Item("sphere", "root", points, trace=t, norm=n)
         if call_a == "band" or (call_a == "zero" and call_b == "band"):
-            status = UncertainStatus(
-                alpha=alpha, beta=beta, reason="remainder within 10x of the zero tolerance"
-            )
-            return _Item("sphere", "uncertain", status, points, trace=t, norm=n)
+            return _Item("sphere", "uncertain", points, trace=t, norm=n, remainder=remainder,
+                         reason="remainder within 10x of the zero tolerance")
         if call_a == "zero":
-            return _Item(
-                "sphere", "noroot", NoRootInClass(alpha, beta), points, trace=t, norm=n
-            )
-        candidate = -(alpha.inverse() * beta)
-        t2, n2 = candidate.trace(), candidate.norm()
+            return _Item("sphere", "noroot", points, trace=t, norm=n, remainder=remainder)
+        candidate = tuple(-v for v in _qmul(_qinverse(alpha), beta))
+        t2, n2 = 2.0 * candidate[0], _qnorm(candidate)
+        _finite("candidate root invariant", t2, n2)
         if abs(t2 - t) <= st.eps_class * (1.0 + abs(t)) and abs(n2 - n) <= st.eps_class * (
             1.0 + abs(n)
         ):
-            residual = _eval_float(coeffs, candidate).magnitude()
-            call_r = _zero_call(
-                residual, st.eps_zero * _eval_scale(coeffs, candidate.magnitude())
-            )
+            residual = _magnitude(_eval_float(coeffs, candidate))
+            bound = st.eps_zero * _eval_scale(mags, _magnitude(candidate))
+            call_r = _zero_call(residual, bound, "candidate root evaluation")
             if call_r == "zero":
-                return _Item(
-                    "sphere", "root", IsolatedRoot(candidate), points, trace=t2, norm=n2
-                )
+                return _Item("sphere", "root", points, trace=t2, norm=n2, root=candidate)
             if call_r == "band":
-                status = UncertainStatus(
-                    alpha=alpha,
-                    beta=beta,
-                    reason=f"candidate root residual {residual:.3g} within 10x of the zero tolerance",
-                )
-                return _Item("sphere", "uncertain", status, points, trace=t, norm=n)
-            return _Item(
-                "sphere", "noroot", NoRootInClass(alpha, beta), points, trace=t, norm=n
-            )
+                reason = f"candidate root residual {residual:.3g} within 10x of the zero tolerance"
+                return _Item("sphere", "uncertain", points, trace=t, norm=n,
+                             remainder=remainder, reason=reason)
+            return _Item("sphere", "noroot", points, trace=t, norm=n, remainder=remainder)
         t, n = t2, n2
-    status = UncertainStatus(
-        alpha=None, beta=None, reason="class invariants did not settle under re-aiming"
-    )
-    return _Item("sphere", "uncertain", status, points, trace=t, norm=n)
+    reason = "class invariants did not settle under re-aiming"
+    return _Item("sphere", "uncertain", points, trace=t, norm=n, reason=reason)
 
 
 def _settle(
-    coeffs: Sequence[QuatF],
-    comp: Sequence[float],
-    points: list[complex],
-    st: NumericSettings,
+    coeffs: Sequence[Quat], mags: Sequence[float], points: list[complex], st: NumericSettings
 ) -> _Item:
     mean = sum(points) / len(points)
     radius = max(abs(p - mean) for p in points)
     if mean.imag <= max(st.cluster_tol * (1.0 + abs(mean)), 0.8 * radius):
-        return _settle_central(coeffs, comp, mean.real, points, st)
-    return _settle_sphere(coeffs, comp, 2.0 * mean.real, abs(mean) ** 2, points, st)
+        return _settle_central(coeffs, mags, mean.real, points, st)
+    return _settle_sphere(coeffs, mags, 2.0 * mean.real, abs(mean) ** 2, points, st)
 
 
 def _deflation_coverage(comp: Sequence[float], item: _Item, st: NumericSettings) -> int:
@@ -440,7 +464,8 @@ def _deflation_coverage(comp: Sequence[float], item: _Item, st: NumericSettings)
             if len(current) < 2:
                 return covered
             quot, rem = _div_linear(current, item.value)
-            bound = 10.0 * st.eps_zero * _eval_scale_real(current, 1.0 + abs(item.value))
+            bound = 10.0 * st.eps_zero * _eval_scale(current, 1.0 + abs(item.value))
+            _finite("deflation remainder", rem, bound)
             if abs(rem) > bound:
                 return covered
             covered += 1
@@ -449,7 +474,8 @@ def _deflation_coverage(comp: Sequence[float], item: _Item, st: NumericSettings)
                 return covered
             rho = 1.0 + math.sqrt(max(abs(item.norm), item.trace**2))
             quot, r1, r0 = _div_quadratic(current, item.trace, item.norm)
-            bound = 10.0 * st.eps_zero * _eval_scale_real(current, rho)
+            bound = 10.0 * st.eps_zero * _eval_scale(current, rho)
+            _finite("deflation remainder", r1, r0, bound)
             if math.hypot(r1, r0) > bound:
                 return covered
             covered += 2
@@ -482,10 +508,13 @@ def _dedupe(items: list[_Item], st: NumericSettings) -> list[_Item]:
     return merged
 
 
+def _resolution_radius(companion_degree: int) -> float:
+    """Eigenvalue scatter radius: multiplicity m scatters by eps^(1/m), m <= degree."""
+    return 8.0 * _MACHINE_EPS ** (1.0 / max(2, companion_degree))
+
+
 def _heal(
-    items: list[_Item],
-    coeffs: Sequence[QuatF],
-    comp: Sequence[float],
+    items: list[_Item], coeffs: Sequence[Quat], mags: Sequence[float], comp: Sequence[float],
     st: NumericSettings,
 ) -> list[_Item]:
     """Merge fragment clusters when deflation validates the merged class.
@@ -497,11 +526,10 @@ def _heal(
     companion by it accounts for every eigenvalue in the group, so
     genuinely distinct nearby classes are left untouched.
     """
-    degree_c = len(comp) - 1
-    cap = 8.0 * _MACHINE_EPS ** (1.0 / max(2, degree_c))
+    cap = _resolution_radius(len(comp) - 1)
     level = 4.0 * st.cluster_tol
+    positions = [it.position() for it in items]
     while level <= cap and len(items) > 1:
-        positions = [it.position() for it in items]
         index_groups = fold_cluster(positions, level)
         if len(index_groups) < len(items):
             new_items: list[_Item] = []
@@ -515,7 +543,7 @@ def _heal(
                 ) > 1:
                     continue
                 pooled = [p for it in group for p in it.points]
-                merged = _settle(coeffs, comp, pooled, st)
+                merged = _settle(coeffs, mags, pooled, st)
                 if merged.conf != "root":
                     continue
                 if _deflation_coverage(comp, merged, st) < len(pooled):
@@ -527,6 +555,7 @@ def _heal(
                     it for idx, it in enumerate(items) if idx not in consumed
                 ] + new_items
                 items = _dedupe(items, st)
+                positions = [it.position() for it in items]
         level *= 4.0
     return items
 
@@ -545,15 +574,16 @@ def classify_f64(poly: PolyLike, settings: NumericSettings | None = None) -> Roo
     if len(coeffs) < 2:
         raise PreconditionError("classification needs a polynomial of degree at least 1")
     degree = len(coeffs) - 1
-    roots = companion_roots_f64(coeffs, st)
     comp = _float_companion(coeffs)
+    roots = _companion_roots(comp, st)
+    mags = [_magnitude(c) for c in coeffs]
     folded = [complex(z.real, abs(z.imag)) for z in roots]
     items = [
-        _settle(coeffs, comp, [folded[idx] for idx in group], st)
+        _settle(coeffs, mags, [folded[idx] for idx in group], st)
         for group in fold_cluster(folded, st.cluster_tol)
     ]
     items = _dedupe(items, st)
-    items = _heal(items, coeffs, comp, st)
+    items = _heal(items, coeffs, mags, comp, st)
 
     central: list[float] = []
     entries: list[tuple] = []
@@ -562,12 +592,12 @@ def classify_f64(poly: PolyLike, settings: NumericSettings | None = None) -> Roo
             if item.conf == "root":
                 central.append(item.value)
             elif item.conf == "uncertain":
-                entries.append((CentralClassF(item.value), item.status))
+                entries.append((CentralClassF(item.value), item.status()))
             # Non-root central candidates are eigensolver debris: over
             # the full quaternions a real companion root always
             # certifies a central root, so they carry no finding.
         else:
-            entries.append((SphereClassF(item.trace, item.norm), item.status))
+            entries.append((SphereClassF(item.trace, item.norm), item.status()))
     central.sort()
     entries.sort(
         key=lambda e: (e[0].trace, e[0].norm)
@@ -641,7 +671,7 @@ def agree_with_exact(
     # (repeated-root scatter grows like eps^(1/multiplicity)) may fuse
     # on the float side; within this radius a missing exact class is a
     # documented resolution limit, not a disagreement.
-    resolution = 8.0 * _MACHINE_EPS ** (1.0 / max(2, 2 * poly.degree))
+    resolution = _resolution_radius(2 * poly.degree)
 
     def _near_any_numeric(t: float, n: Optional[float]) -> bool:
         for v in numeric_report.central_roots:
@@ -789,26 +819,29 @@ def roots_in_subfield_f64(
     when they commute with s within tolerance.
     """
     st = settings or NumericSettings()
-    coeffs = _as_float_coeffs(poly)
     if isinstance(s, Quaternion):
         s = QuatF.from_exact(s)
-    pure = QuatF(0.0, float(s.x), float(s.y), float(s.z))
-    pure_norm = pure.norm()
+    pure = (0.0, s.x, s.y, s.z)
+    pure_norm = _qnorm(pure)
+    _finite("subfield generator norm", pure_norm)
     if pure_norm == 0.0:
         raise PreconditionError(f"{s} is central and generates no subfield")
-    report = classify_f64(coeffs, st)
-    out: list[QuatF] = [QuatF(v, 0, 0, 0) for v in report.central_roots]
+    report = classify_f64(poly, st)
+    out = [_quatf((v, 0.0, 0.0, 0.0), "central root") for v in report.central_roots]
     tol = st.eps_class * (1.0 + s.magnitude())
     for cls, status in report.class_entries:
         if isinstance(status, IsolatedRoot):
             rep = status.representative
-            commutator = rep * s - s * rep
-            if commutator.magnitude() <= tol * (1.0 + rep.magnitude()):
+            r, q = rep._coords(), s._coords()
+            commutator = _magnitude(tuple(a - b for a, b in zip(_qmul(r, q), _qmul(q, r))))
+            _finite("commutator", commutator)
+            if commutator <= tol * (1.0 + rep.magnitude()):
                 out.append(rep)
         elif isinstance(status, SphericalRoots) and isinstance(cls, SphereClassF):
             half_trace = cls.trace / 2.0
             radicand = (cls.norm - half_trace**2) / pure_norm
             beta = math.sqrt(max(radicand, 0.0))
-            for sign in (1.0, -1.0):
-                out.append(QuatF(half_trace, 0, 0, 0) + (sign * beta) * pure)
+            for k in (beta, -beta):
+                root = tuple(a + b * k for a, b in zip((half_trace, 0.0, 0.0, 0.0), pure))
+                out.append(_quatf(root, "subfield root"))
     return out

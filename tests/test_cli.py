@@ -233,6 +233,26 @@ class TestExitCodes:
         assert code == 4
         assert "numeric failure" in err
 
+    @pytest.mark.parametrize("text", [f"x^2 + {10**200} i x + 1", f"{10**200} x^2 + x + 1"],
+                             ids=["product", "power"])
+    def test_float_overflow_is_4(self, capsys, text):
+        # valid inputs whose float companion overflows: by a product of
+        # two coordinates, or by squaring one (float ** raises, not inf)
+        code, out, err = run(capsys, "classify", text, "--numeric")
+        assert code == 4
+        assert out == ""
+        assert "numeric failure: non-finite companion coefficient" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", f"x^2 + {10**400} i x + 1"),
+        ("eval", "x^2 + 1", "--at", f"{10**400} i"),
+    ], ids=lambda argv: argv[0])
+    def test_too_large_for_float_is_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--numeric")
+        assert code == 3
+        assert out == ""
+        assert "precondition violated: component x is too large for float64" in err
+
     def test_invariant_violation_is_5(self, capsys, monkeypatch):
         def broken(poly):
             raise InvariantViolation("spherical product does not divide")

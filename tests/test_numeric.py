@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatpoly import (
@@ -19,15 +19,18 @@ from quatpoly import (
     SphereClassF,
     SphericalRoots,
     agree_with_exact,
+    class_remainder,
     classify_f64,
     companion_roots_f64,
+    conjugacy_class,
     eval_f64,
     eval_right,
     parse_to_qpoly,
     roots_in_subfield_f64,
 )
+from quatpoly import numeric
 
-from conftest import quaternions, separated_class_product
+from conftest import qpolys, quaternions, separated_class_product
 
 A = HAMILTON
 
@@ -68,6 +71,70 @@ class TestQuatF:
         approx = QuatF.from_exact(p) * QuatF.from_exact(q)
         assert math.isclose(exact.w, approx.w, rel_tol=1e-12, abs_tol=1e-12)
         assert math.isclose(exact.x, approx.x, rel_tol=1e-12, abs_tol=1e-12)
+
+
+class TestFloatKernels:
+    """The float-tuple kernels of the backend against the exact core."""
+
+    @given(qpolys(max_degree=6, bound=5))
+    @settings(max_examples=40, deadline=None)
+    def test_companion_matches_exact(self, poly):
+        assume(poly.coeffs)
+        got = numeric._float_companion(numeric._as_float_coeffs(poly))
+        want = [float(c) for c in poly.companion().coeffs]
+        # every term <c_m, c_n> is at most |c_m| |c_n| in size
+        size = sum(float(c.norm()) ** 0.5 for c in poly.coeffs) ** 2
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12 * size)
+
+    @given(qpolys(max_degree=6, bound=5), quaternions(bound=3))
+    @settings(max_examples=40, deadline=None)
+    def test_quadratic_remainder_matches_exact(self, poly, q):
+        assume(poly.coeffs and not q.is_central)
+        cls = conjugacy_class(q)
+        t, n = float(cls.trace), float(cls.norm)
+        got = numeric._quat_quadratic_remainder(numeric._as_float_coeffs(poly), t, n)
+        want = [QuatF.from_exact(r)._coords() for r in class_remainder(poly, cls)]
+        # synthetic division by x^2 - t x + n grows like (1 + |t| + |n|)^m
+        size = sum(float(c.norm()) ** 0.5 * (1 + abs(t) + abs(n)) ** m
+                   for m, c in enumerate(poly.coeffs))
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=1e-12 * size)
+
+
+class TestNonFinite:
+    """Non-finite inputs are precondition errors; non-finite results are
+    numeric failures."""
+
+    # the companion's x^2 coefficient is 1 + 1e400, which overflows
+    OVERFLOWING = [QuatF(1.0, 0.0, 0.0, 0.0), QuatF(0.0, 1e200, 0.0, 0.0),
+                   QuatF(1.0, 0.0, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("call", [
+        classify_f64,
+        companion_roots_f64,
+        lambda coeffs: roots_in_subfield_f64(coeffs, A.j),
+        lambda coeffs: eval_f64(coeffs, QuatF(1e200, 0.0, 0.0, 0.0)),
+    ], ids=["classify_f64", "companion_roots_f64", "roots_in_subfield_f64", "eval_f64"])
+    def test_overflow_is_numeric_failure(self, call):
+        with pytest.raises(NumericFailure, match="non-finite"):
+            call(self.OVERFLOWING)
+
+    def test_overflowing_generator_norm_is_numeric_failure(self):
+        with pytest.raises(NumericFailure, match="subfield generator norm"):
+            roots_in_subfield_f64(parse_to_qpoly("x^2 + 1"), QuatF(0.0, 0.0, 1e300, 0.0))
+
+    def test_overflowing_norm(self):
+        # float ** raises OverflowError; the norm follows * and reads inf
+        q = QuatF(1e200, 0.0, 0.0, 0.0)
+        assert q.norm() == math.inf
+        with pytest.raises(NumericFailure, match="quaternion norm"):
+            q.inverse()
+
+    def test_exact_value_too_large_for_float(self):
+        with pytest.raises(PreconditionError, match="component x is too large"):
+            QuatF.from_exact(A.quat(0, 10**400, 0, 0))
 
 
 class TestEvalF64:
