@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .errors import NumericFailure
 
 
 def real_poly_roots(coeffs_const_first: Sequence[float]) -> list[complex]:
     """All complex roots of a real polynomial given constant-first."""
+    # imported here so that commands which never solve for roots do not
+    # pay numpy's import time
+    import numpy as np
+
     cs = list(coeffs_const_first)
     while cs and cs[-1] == 0.0:
         cs.pop()

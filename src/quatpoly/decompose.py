@@ -22,13 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from math import isqrt
 
 from . import _linalg
 from .algebra import AlgebraParams, Quaternion, commutes
 from .errors import InvariantViolation, PreconditionError
-from .polynomials import CentralPoly, QPoly, _primitive, _to_ints, central_gcd, gcrd
+from .polynomials import (
+    CentralPoly, QPoly, _central_from_ints, _int_coords, _int_gcd, _int_norm_form, _int_quotient,
+    _int_squarefree, _monic_from_ints, _primitive, _squarefree_prs, _to_ints, gcrd)
 
 
 @dataclass(frozen=True)
@@ -94,13 +97,62 @@ def center_coordinates(poly: QPoly) -> CenterCoords:
     return CenterCoords(poly.algebra, *parts)
 
 
-def _coordinate_gcd(poly: QPoly) -> CentralPoly:
-    g = CentralPoly()
-    for part in center_coordinates(poly).parts():
-        if part.is_zero and g.is_zero:
-            continue
-        g = central_gcd(g, part)
-    return g
+class _Structure:
+    """P's integer coordinates and what classification derives from them.
+
+    ``rows`` are the four coordinate polynomials of P as trimmed integer
+    lists over the common denominator ``den``.  The Beck step, the
+    companion and its square-free part are computed from them on first
+    use, so every stage of one classification shares one conversion out
+    of ``Fraction``.
+    """
+
+    def __init__(self, poly: QPoly):
+        self.poly = poly
+        self.rows, self.den = _int_coords(poly)
+
+    @cached_property
+    def beck(self) -> tuple[list[int], list[list[int]]]:
+        """(H, quotients): H is the coordinate gcd as a primitive integer
+        polynomial and rows[m] = quotients[m] * H.
+
+        Both Beck conditions are checked: H divides every row exactly,
+        and the quotients have a constant gcd, so H is maximal.
+        """
+        if not any(self.rows):
+            raise PreconditionError("cannot decompose the zero polynomial")
+        central = _int_gcd(self.rows)
+        quotients = [_int_quotient(row, central) for row in self.rows]
+        if None in quotients:
+            raise InvariantViolation(
+                f"coordinate gcd {_monic_from_ints(central)} does not right-divide the polynomial"
+            )
+        if len(_int_gcd(quotients)) != 1:
+            raise InvariantViolation(
+                f"P / ({_monic_from_ints(central)}) still has a central right divisor"
+            )
+        return central, quotients
+
+    @cached_property
+    def central(self) -> CentralPoly:
+        """H, the monic maximal central right divisor."""
+        return _monic_from_ints(self.beck[0])
+
+    @cached_property
+    def companion(self) -> list[int]:
+        """The companion P * conj(P) as a primitive integer polynomial."""
+        return _primitive(_int_norm_form(self.rows, self.poly.algebra)[0])
+
+    @cached_property
+    def companion_squarefree(self) -> list[int]:
+        """Primitive square-free part of the companion.
+
+        A nonconstant H puts H^2 into the companion, so the modular
+        certificate cannot pass and is not tried.
+        """
+        if len(self.beck[0]) == 1:
+            return _int_squarefree(self.companion)
+        return _squarefree_prs(self.companion)
 
 
 def beck_decompose(poly: QPoly) -> BeckFactorization:
@@ -112,27 +164,18 @@ def beck_decompose(poly: QPoly) -> BeckFactorization:
     """
     if poly.is_zero:
         raise PreconditionError("cannot decompose the zero polynomial")
-    lead = poly.leading
-    central = _coordinate_gcd(poly)
-    quotients = []
-    for part in center_coordinates(poly.monic()).parts():
-        quotient, rem = divmod(part, central)
-        if not rem.is_zero:
-            raise InvariantViolation(
-                f"coordinate gcd {central} does not right-divide the polynomial"
-            )
-        quotients.append(quotient)
-    reduced = CenterCoords(poly.algebra, *quotients).recombine()
-    if _coordinate_gcd(reduced).degree != 0:
-        raise InvariantViolation(
-            f"quotient {reduced} still has a central right divisor"
-        )
-    return BeckFactorization(lead, reduced, central)
+    structure = _Structure(poly.monic())
+    central, quotients = structure.beck
+    # row / den = (quotient * lead / den) * (central / lead), lead = central[-1]
+    reduced = CenterCoords(poly.algebra, *(
+        _central_from_ints([central[-1] * c for c in quotient], structure.den)
+        for quotient in quotients)).recombine()
+    return BeckFactorization(poly.leading, reduced, structure.central)
 
 
 def max_central_right_divisor(poly: QPoly) -> CentralPoly:
     """The monic central polynomial of largest degree right-dividing P."""
-    return beck_decompose(poly).central
+    return _Structure(poly).central
 
 
 def _eval_mod(ints: list[int], point: int, modulus: int) -> int:
@@ -168,7 +211,7 @@ def rational_roots(poly: CentralPoly) -> list[Fraction]:
         roots.add(Fraction(0))
         coeffs.pop(0)
     if len(coeffs) > 1:
-        f = _primitive(_to_ints(CentralPoly(coeffs).squarefree_part().coeffs)[0])
+        f = _int_squarefree(_primitive(_to_ints(coeffs)[0]))
         n, lead = len(f) - 1, f[-1]
         g = [c * lead ** (n - 1 - k) for k, c in enumerate(f[:-1])] + [1]
         dg = [k * c for k, c in enumerate(g)][1:]
@@ -197,10 +240,15 @@ def roots_in_center(poly: QPoly) -> list[Fraction]:
     divisor; each one is re-verified by right evaluation, which at a
     central point evaluates the four coordinates.
     """
-    found = rational_roots(max_central_right_divisor(poly)) if not poly.is_zero else []
-    parts = center_coordinates(poly).parts()
+    return _central_roots(_Structure(poly)) if not poly.is_zero else []
+
+
+def _central_roots(structure: _Structure) -> list[Fraction]:
+    found = rational_roots(structure.central)
     for root in found:
-        if any(part.evaluate(root) for part in parts):
+        # each coordinate vanishes at the root: x - root divides its row
+        linear = [-root.numerator, root.denominator]
+        if any(_int_quotient(row, linear) is None for row in structure.rows):
             raise InvariantViolation(f"central candidate {root} fails evaluation")
     return found
 

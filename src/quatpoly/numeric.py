@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._realroots import fold_cluster, real_poly_roots
@@ -47,6 +46,7 @@ from .roots import (
     RootReport,
     SphericalRoots,
     UncertainStatus,
+    _rationalize,
     classify,
 )
 
@@ -610,14 +610,10 @@ def classify_f64(poly: PolyLike, settings: NumericSettings | None = None) -> Roo
         class_entries=tuple(entries),
         candidate_source="numeric",
     )
-    if report.classes_with_roots > degree:
+    if report.root_count > degree:
         raise NumericFailure(
-            f"{report.classes_with_roots} root classes exceed the degree {degree}",
-            partial=report,
-        )
-    if len(report.spherical_classes) > degree // 2:
-        raise NumericFailure(
-            f"{len(report.spherical_classes)} spherical classes exceed {degree} / 2",
+            f"central + isolated + 2 * spherical = {report.root_count} "
+            f"exceeds the degree {degree}",
             partial=report,
         )
     return report
@@ -755,9 +751,9 @@ def agree_with_exact(
 
     comp = poly.companion()
     for value in leftovers_central:
-        r = Fraction(value).limit_denominator(10**6)
+        r = _rationalize(value, 10**6, st.eps_class)
         certified = (
-            abs(float(r) - value) <= st.eps_class * (1 + abs(value))
+            r is not None
             and CentralPoly((-r, 1)).divides(comp)
             and poly.evaluate(poly.algebra.scalar(r)).is_zero
         )
@@ -775,13 +771,9 @@ def agree_with_exact(
         kind = status.kind
         if kind == "no-root":
             continue
-        rt = Fraction(cls.trace).limit_denominator(10**6)
-        rn = Fraction(cls.norm).limit_denominator(10**6)
-        close = abs(float(rt) - cls.trace) <= st.eps_class * (1 + abs(cls.trace)) and abs(
-            float(rn) - cls.norm
-        ) <= st.eps_class * (1 + abs(cls.norm))
+        rt, rn = (_rationalize(v, 10**6, st.eps_class) for v in (cls.trace, cls.norm))
         certified = (
-            close
+            rt is not None and rn is not None
             and not is_rational_square(rt**2 - 4 * rn)
             and CentralPoly((rn, -rt, 1)).divides(comp)
         )

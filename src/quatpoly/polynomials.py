@@ -266,13 +266,8 @@ class QPoly:
         workhorse.
         """
         rows, den = _int_coords(self)
-        a, b = self.algebra.a, self.algebra.b
-        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-        total = [0] * max(0, 2 * len(self._coeffs) - 1)
-        for weight, row in zip((ad * bd, -an * bd, -ad * bn, an * bn), rows):
-            for m, c in enumerate(_int_mul(row, row)):
-                total[m] += weight * c
-        return _central_from_ints(total, den * den * ad * bd)
+        total, scale = _int_norm_form(rows, self.algebra)
+        return _central_from_ints(total, den * den * scale)
 
     def coefficients_central(self) -> bool:
         return all(c.is_central for c in self._coeffs)
@@ -436,7 +431,8 @@ class CentralPoly:
     def divides(self, other: "CentralPoly") -> bool:
         if self.is_zero:
             return other.is_zero
-        return _int_divides(_to_ints(other._coeffs)[0], _primitive(_to_ints(self._coeffs)[0]))
+        return _int_quotient(_to_ints(other._coeffs)[0],
+                             _primitive(_to_ints(self._coeffs)[0])) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CentralPoly):
@@ -482,14 +478,13 @@ class CentralPoly:
 
         Dividing out gcd(P, P') collapses every repeated factor to
         multiplicity one; root finding on the result stays well
-        conditioned where the original clusters badly.
+        conditioned where the original clusters badly.  A modular
+        certificate skips the gcd when P is already square-free (see
+        ``_int_squarefree``).
         """
         if self.is_zero:
             raise PreconditionError("the zero polynomial has no square-free part")
-        deriv = self.derivative()
-        if deriv.is_zero:
-            return CentralPoly((1,))
-        return (self // central_gcd(self, deriv)).monic()
+        return _monic_from_ints(_int_squarefree(_primitive(_to_ints(self._coeffs)[0])))
 
     def lift(self, algebra: AlgebraParams) -> QPoly:
         """Embed into the quaternion polynomial ring over ``algebra``."""
@@ -592,10 +587,7 @@ def central_gcd(first: CentralPoly, second: CentralPoly) -> CentralPoly:
     """
     if first.is_zero and second.is_zero:
         raise PreconditionError("gcd(0, 0) is undefined")
-    p, s = (_primitive(_to_ints(f.coeffs)[0]) for f in (first, second))
-    while s:
-        p, s = s, _primitive(_int_divmod(p, s)[1])
-    return CentralPoly(p).monic()
+    return _monic_from_ints(_int_gcd([_to_ints(f.coeffs)[0] for f in (first, second)]))
 
 
 def minimal_polynomial(cls: ConjClass) -> CentralPoly:
@@ -631,9 +623,10 @@ def _central_from_ints(ints: Sequence[int], den: int) -> CentralPoly:
 
 
 def _int_coords(poly: QPoly) -> tuple[list[list[int]], int]:
-    """The four coordinate polynomials of P as integers over one denominator."""
+    """The four coordinate polynomials of P as trimmed integer lists over
+    one denominator."""
     ints, den = _to_ints([v for c in poly.coeffs for v in c.coords()])
-    return [ints[m::4] for m in range(4)], den
+    return [_trim(ints[m::4]) for m in range(4)], den
 
 
 def _int_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
@@ -676,21 +669,24 @@ def _int_divmod(num: Sequence[int], div: Sequence[int]) -> tuple[list[int], list
     return quot, rem, scale
 
 
-def _int_divides(num: Sequence[int], div: Sequence[int]) -> bool:
-    """Whether the primitive ``div`` divides ``num`` over the rationals.
+def _int_quotient(num: Sequence[int], div: Sequence[int]) -> list[int] | None:
+    """num / div when the primitive ``div`` divides ``num`` over the
+    rationals, else None.
 
     By Gauss's lemma it then divides over the integers, so every step
     of the long division must be exact; the first inexact one decides.
     """
     lead, dd = div[-1], len(div) - 1
     rem = list(num)
-    for shift in range(len(num) - 1 - dd, -1, -1):
+    quot = [0] * max(0, len(num) - dd)
+    for shift in range(len(quot) - 1, -1, -1):
         t, inexact = divmod(rem.pop(), lead)
         if inexact:
-            return False
+            return None
+        quot[shift] = t
         for n in range(dd):
             rem[shift + n] -= t * div[n]
-    return not any(rem)
+    return None if any(rem) else quot
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -699,3 +695,87 @@ def _primitive(p: list[int]) -> list[int]:
         return p
     content = gcd(*p) if p[-1] > 0 else -gcd(*p)
     return [c // content for c in p]
+
+
+def _trim(p: list[int]) -> list[int]:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _monic_from_ints(p: Sequence[int]) -> CentralPoly:
+    return _central_from_ints(p, p[-1])
+
+
+def _int_norm_form(rows: Sequence[Sequence[int]], algebra: AlgebraParams) -> tuple[list[int], int]:
+    """(total, scale) with total / (den^2 * scale) the companion of the
+    polynomial whose coordinate rows are ``rows`` / den."""
+    a, b = algebra.a, algebra.b
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    total = [0] * max(0, 2 * max(map(len, rows)) - 1)
+    for weight, row in zip((ad * bd, -an * bd, -ad * bn, an * bn), rows):
+        for m, c in enumerate(_int_mul(row, row)):
+            total[m] += weight * c
+    return _trim(total), ad * bd
+
+
+def _int_gcd(polys: Iterable[list[int]]) -> list[int]:
+    """Primitive gcd of trimmed integer polynomials, [] when all are zero.
+
+    Euclid runs on primitive polynomials (Collins' primitive remainder
+    sequence), and stops once the gcd is constant.
+    """
+    g: list[int] = []
+    for f in polys:
+        s = _primitive(f)
+        while s:
+            g, s = s, _primitive(_int_divmod(g, s)[1])
+        if len(g) == 1:
+            break
+    return g
+
+
+#: The prime of the square-free certificate, 2^61 - 1.  Any prime is
+#: sound.  One this large divides no leading coefficient of ordinary
+#: size and fails on a square-free input only when it divides the
+#: discriminant, while products of two residues stay below 2^122.
+_CERT_PRIME = (1 << 61) - 1
+
+
+def _coprime_mod(f: Sequence[int], g: Sequence[int], p: int) -> bool:
+    """Whether gcd(f mod p, g mod p) is constant; f's leading
+    coefficient must be a unit mod p."""
+    a, b = [c % p for c in f], _trim([c % p for c in g])
+    while b:
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > db:
+            t = a.pop() * inv % p
+            if t:
+                off = len(a) - db
+                a[off:] = [(c - t * d) % p for c, d in zip(a[off:], b)]
+        a, b = b, _trim(a)
+    return len(a) == 1
+
+
+def _int_squarefree(f: list[int]) -> list[int]:
+    """Primitive square-free part of a nonzero primitive integer polynomial.
+
+    Certificate: if p does not divide the leading coefficient and
+    gcd(f mod p, f' mod p) = 1, then f is square-free over the
+    rationals: if f = g^2 h with g primitive of degree >= 1 (Gauss's
+    lemma), g mod p keeps its degree and divides both f mod p and
+    f' mod p = g (2 g' h + g h') mod p.  Without the certificate,
+    gcd(f, f') is divided out, computed by the PRS.
+    """
+    if f[-1] % _CERT_PRIME and _coprime_mod(f, _derivative(f), _CERT_PRIME):
+        return f
+    return _squarefree_prs(f)
+
+
+def _squarefree_prs(f: list[int]) -> list[int]:
+    common = _int_gcd([f, _derivative(f)])
+    return f if len(common) == 1 else _int_quotient(f, common)
+
+
+def _derivative(f: Sequence[int]) -> list[int]:
+    return [m * c for m, c in enumerate(f)][1:]

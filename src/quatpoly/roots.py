@@ -11,11 +11,12 @@ divides the central companion polynomial P * conj(P), the candidate
 classes are recovered from numeric companion roots, rationalized, and
 verified exactly; classification is then exact arithmetic.
 
-Two classical counting facts are enforced as assertions on every
-report: roots occupy at most deg P conjugacy classes (Gordon-Motzkin),
-and at most floor(deg P / 2) classes are spherical, with equality
-forcing central (even degree) or pairwise commuting (odd degree)
-coefficients.
+One counting fact is asserted on every report: central roots plus
+isolated roots plus twice the spherical classes number at most deg P
+(Pogorui-Shapiro).  It implies that roots occupy at most deg P
+conjugacy classes (Gordon-Motzkin) and that at most floor(deg P / 2)
+classes are spherical, with equality forcing central (even degree) or
+pairwise commuting (odd degree) coefficients.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from .algebra import (
     is_rational_square,
     rational_sqrt,
 )
-from .decompose import center_coordinates, roots_in_center
+from .decompose import _central_roots, _Structure
 from .errors import InvariantViolation, PreconditionError, ZeroDivisorError
-from .polynomials import CentralPoly, QPoly, minimal_polynomial
+from .polynomials import (
+    CentralPoly, QPoly, _int_divmod, _int_mul, _int_quotient, _primitive, _to_ints)
 
 # -- status and report types -------------------------------------------------
 
@@ -126,6 +128,13 @@ class RootReport:
         return tuple((c, s) for c, s in self.class_entries if isinstance(s, UncertainStatus))
 
     @property
+    def root_count(self) -> int:
+        """Central plus isolated roots plus two per spherical class; at
+        most the degree (Pogorui and Shapiro 2004)."""
+        return (len(self.central_roots) + len(self.isolated_roots)
+                + 2 * len(self.spherical_classes))
+
+    @property
     def classes_with_roots(self) -> int:
         return (
             len(self.central_roots)
@@ -137,24 +146,42 @@ class RootReport:
 # -- per-class decision ------------------------------------------------------
 
 
+def _quadratic(trace: Fraction, norm: Fraction) -> list[int]:
+    """x^2 - trace x + norm as a primitive integer polynomial."""
+    return _primitive(_to_ints([norm, -trace, Fraction(1)])[0])
+
+
 def class_remainder(poly: QPoly, cls: SphereClass) -> tuple[Quaternion, Quaternion]:
     """The linear remainder (alpha, beta) of P modulo the class quadratic."""
+    return _class_remainder(_Structure(poly), cls)
+
+
+def _class_remainder(structure: _Structure, cls: SphereClass) -> tuple[Quaternion, Quaternion]:
     if not isinstance(cls, SphereClass):
         raise PreconditionError(
             "class_remainder needs a non-central class; central candidates "
             "are settled by direct evaluation"
         )
-    # a central divisor acts on the four coordinates separately
-    quadratic = minimal_polynomial(cls)
-    rems = [part % quadratic for part in center_coordinates(poly).parts()]
-    alg = poly.algebra
-    return (alg.quat(*[r.coefficient(1) for r in rems]),
-            alg.quat(*[r.coefficient(0) for r in rems]))
+    # a central divisor acts on the four coordinates separately; the
+    # pseudo-remainder of row m is scale * row mod the quadratic
+    quadratic = _quadratic(cls.trace, cls.norm)
+    alpha, beta = [], []
+    for row in structure.rows:
+        _, rem, scale = _int_divmod(row, quadratic)
+        rem = rem + [0] * (2 - len(rem))
+        alpha.append(Fraction(rem[1], scale * structure.den))
+        beta.append(Fraction(rem[0], scale * structure.den))
+    alg = structure.poly.algebra
+    return alg.quat(*alpha), alg.quat(*beta)
 
 
 def class_status(poly: QPoly, cls: SphereClass) -> ClassStatus:
     """Decide spherical / isolated / no-root for one conjugacy class."""
-    alpha, beta = class_remainder(poly, cls)
+    return _class_status(_Structure(poly), cls)
+
+
+def _class_status(structure: _Structure, cls: SphereClass) -> ClassStatus:
+    alpha, beta = _class_remainder(structure, cls)
     if alpha.is_zero and beta.is_zero:
         return SphericalRoots()
     if alpha.is_zero:
@@ -168,11 +195,16 @@ def class_status(poly: QPoly, cls: SphereClass) -> ClassStatus:
 # -- candidate generation ----------------------------------------------------
 
 
+#: Defaults of the candidate search: denominator bound, rationalization
+#: tolerance and eigenvalue clustering tolerance.
+_MAX_DENOMINATOR, _TOLERANCE, _CLUSTER_TOL = 10**6, 1e-8, 1e-6
+
+
 def candidate_classes(
     poly: QPoly,
-    max_denominator: int = 10**6,
-    tolerance: float = 1e-8,
-    cluster_tol: float = 1e-6,
+    max_denominator: int = _MAX_DENOMINATOR,
+    tolerance: float = _TOLERANCE,
+    cluster_tol: float = _CLUSTER_TOL,
 ) -> list[ConjClass]:
     """A finite, exactly certified superset of the classes holding roots.
 
@@ -189,43 +221,40 @@ def candidate_classes(
     """
     if poly.is_zero:
         raise PreconditionError("the zero polynomial has roots everywhere")
-    comp = poly.companion()
-    if comp.degree <= 0:
-        return []
-    reduced = comp.squarefree_part()
-    roots = real_poly_roots([float(c) for c in reduced.coeffs])
-    reals, spheres = pair_and_cluster(roots, cluster_tol)
-    found: list[ConjClass] = []
-    seen: set = set()
-    for value in reals:
-        r = Fraction(value).limit_denominator(max_denominator)
-        if abs(float(r) - value) > tolerance * (1.0 + abs(value)):
+    structure = _Structure(poly)
+    reals, spheres = _candidates(structure, max_denominator, tolerance, cluster_tol)
+    values = {_rationalize(value, max_denominator, tolerance) for value in reals} - {None}
+    central = [CentralClass(r) for r in sorted(values)
+               if _int_quotient(structure.companion, [-r.numerator, r.denominator]) is not None]
+    return central + spheres
+
+
+def _candidates(structure: _Structure, max_denominator: int = _MAX_DENOMINATOR,
+                tolerance: float = _TOLERANCE, cluster_tol: float = _CLUSTER_TOL,
+                ) -> tuple[list[float], list[SphereClass]]:
+    """(reals, spheres): the clustered real roots of the companion's
+    square-free part, computed numerically, and the sphere classes of its
+    conjugate pairs whose quadratic divides the companion exactly, sorted."""
+    if len(structure.companion) <= 1:
+        return [], []
+    reduced = structure.companion_squarefree
+    roots = real_poly_roots([c / reduced[-1] for c in reduced])
+    reals, pairs = pair_and_cluster(roots, cluster_tol)
+    found: set[tuple[Fraction, Fraction]] = set()
+    for t, n in pairs:
+        rt, rn = (_rationalize(v, max_denominator, tolerance) for v in (t, n))
+        if rt is None or rn is None or is_rational_square(rt**2 - 4 * rn):
             continue
-        if ("central", r) in seen or not CentralPoly((-r, 1)).divides(comp):
-            continue
-        seen.add(("central", r))
-        found.append(CentralClass(r))
-    for t, n in spheres:
-        rt = Fraction(t).limit_denominator(max_denominator)
-        rn = Fraction(n).limit_denominator(max_denominator)
-        if abs(float(rt) - t) > tolerance * (1.0 + abs(t)):
-            continue
-        if abs(float(rn) - n) > tolerance * (1.0 + abs(n)):
-            continue
-        if is_rational_square(rt**2 - 4 * rn):
-            continue
-        if ("sphere", rt, rn) in seen:
-            continue
-        if not CentralPoly((rn, -rt, 1)).divides(comp):
-            continue
-        seen.add(("sphere", rt, rn))
-        found.append(SphereClass(rt, rn))
-    def order(cls: ConjClass):
-        if isinstance(cls, CentralClass):
-            return (0, cls.value, Fraction(0))
-        return (1, cls.trace, cls.norm)
-    found.sort(key=order)
-    return found
+        if _int_quotient(structure.companion, _quadratic(rt, rn)) is not None:
+            found.add((rt, rn))
+    return reals, [SphereClass(rt, rn) for rt, rn in sorted(found)]
+
+
+def _rationalize(value: float, max_denominator: int, tolerance: float) -> Optional[Fraction]:
+    """The continued-fraction rational near ``value``, or None when it
+    sits farther than the relative tolerance."""
+    r = Fraction(value).limit_denominator(max_denominator)
+    return r if abs(float(r) - value) <= tolerance * (1.0 + abs(value)) else None
 
 
 def _sphere_witness(poly: QPoly, cls: SphereClass) -> Optional[Quaternion]:
@@ -251,21 +280,21 @@ def classify(poly: QPoly) -> RootReport:
 
     Central (rational) roots come from the maximal central right
     divisor, which is complete; non-central classes come from certified
-    companion candidates, each settled by its linear remainder.  The
-    count bounds and the divisibility of P by the product of spherical
-    class quadratics are asserted before returning.
+    companion candidates, each settled by its linear remainder.  All
+    stages share one integer structure of P.  The count bound and the
+    divisibility of P by the product of spherical class quadratics are
+    asserted before returning.
     """
     if poly.is_zero or poly.degree < 1:
         raise PreconditionError(
             "classification needs a polynomial of degree at least 1"
         )
     degree = poly.degree
-    central = roots_in_center(poly)
+    structure = _Structure(poly)
+    central = _central_roots(structure)
     entries: list[tuple[ConjClass, ClassStatus]] = []
-    for cand in candidate_classes(poly):
-        if isinstance(cand, CentralClass):
-            continue
-        status = class_status(poly, cand)
+    for cand in _candidates(structure)[1]:
+        status = _class_status(structure, cand)
         cls: ConjClass = cand
         if isinstance(status, IsolatedRoot):
             cls = conjugacy_class(status.representative)
@@ -285,30 +314,27 @@ def classify(poly: QPoly) -> RootReport:
         class_entries=tuple(entries),
         candidate_source="exact",
     )
-    _check_report(poly, report)
+    _check_report(structure, report)
     return report
 
 
-def _check_report(poly: QPoly, report: RootReport):
+def _check_report(structure: _Structure, report: RootReport):
     degree = report.degree
     spherical = report.spherical_classes
-    if report.classes_with_roots > degree:
+    if report.root_count > degree:
         raise InvariantViolation(
-            f"{report.classes_with_roots} root classes exceed the degree {degree}"
+            f"central + isolated + 2 * spherical = {report.root_count} "
+            f"exceeds the degree {degree}"
         )
-    if len(spherical) > degree // 2:
-        raise InvariantViolation(
-            f"{len(spherical)} spherical classes exceed {degree} / 2"
-        )
-    product = CentralPoly((1,))
+    product = [1]
     for cls in spherical:
-        product = product * minimal_polynomial(cls)
-    if not all(product.divides(part) for part in center_coordinates(poly).parts()):
+        product = _int_mul(product, _quadratic(cls.trace, cls.norm))
+    if any(_int_quotient(row, product) is None for row in structure.rows):
         raise InvariantViolation(
             "product of spherical class quadratics does not right-divide P"
         )
     for root in report.isolated_roots:
-        if not poly.evaluate(root).is_zero:
+        if not structure.poly.evaluate(root).is_zero:
             raise InvariantViolation(f"isolated root {root} fails evaluation")
 
 

@@ -24,6 +24,13 @@ DIVISION_ALGEBRAS = [
     AlgebraParams(Fraction(-1), Fraction(-7)),
 ]
 
+#: Division algebras with denominators in a and in b, which the integer
+#: kernels clear.
+FRACTIONAL_ALGEBRAS = [
+    AlgebraParams(Fraction(-1, 2), Fraction(-3)),
+    AlgebraParams(Fraction(-2, 3), Fraction(-5, 7)),
+]
+
 
 def small_fractions(bound: int = 10, max_denominator: int = 6):
     return st.fractions(

@@ -1,6 +1,7 @@
 """Command line surface: commands, formats, and exit codes."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from quatpoly import (
     InvariantViolation,
     IsolatedRoot,
     NoRootInClass,
+    QPoly,
     QuatF,
     RootReport,
     SphereClass,
@@ -232,6 +234,15 @@ class TestExitCodes:
                            "1/10000000000000 x^2 + 10000000000000", "--numeric")
         assert code == 4
         assert "numeric failure" in err
+
+    def test_overcounted_numeric_report_is_4(self, capsys):
+        rng = random.Random(0)
+        coeffs = [HAMILTON.quat(*[rng.randint(-3, 3) for _ in range(4)]) for _ in range(24)]
+        text = str(QPoly(HAMILTON, coeffs + [HAMILTON.one]))
+        code, out, err = run(capsys, "classify", text, "--numeric")
+        assert code == 4
+        assert out == ""
+        assert "exceeds the degree 24" in err
 
     @pytest.mark.parametrize("text", [f"x^2 + {10**200} i x + 1", f"{10**200} x^2 + x + 1"],
                              ids=["product", "power"])

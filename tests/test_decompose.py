@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from quatpoly import (
     HAMILTON,
     CentralPoly,
+    InvariantViolation,
     PreconditionError,
     QPoly,
     beck_decompose,
@@ -24,6 +25,7 @@ from quatpoly import (
     subfield_gcd,
     transverse_unit_for,
 )
+from quatpoly import decompose
 
 from conftest import DIVISION_ALGEBRAS, qpolys, quaternions
 
@@ -86,6 +88,26 @@ class TestBeckDecomposition:
     def test_zero_rejected(self):
         with pytest.raises(PreconditionError):
             beck_decompose(QPoly(HAMILTON, []))
+
+    @pytest.mark.parametrize("fake, message", [
+        ([-1, 1], "still has a central right divisor"),  # x - 1, not maximal
+        ([-5, 1], "does not right-divide"),  # x - 5, not a divisor
+    ])
+    def test_faulty_gcd_is_caught(self, monkeypatch, fake, message):
+        # H = (x - 1)(x - 2); a coordinate gcd that came out wrong must
+        # fail one of the two Beck checks
+        A = HAMILTON
+        p = QPoly(A, [-A.i, A.one]) * CentralPoly((2, -3, 1)).lift(A)
+        true_gcd = decompose._int_gcd
+        calls = []
+
+        def first_call_faulty(polys):
+            calls.append(None)
+            return fake if len(calls) == 1 else true_gcd(polys)
+
+        monkeypatch.setattr(decompose, "_int_gcd", first_call_faulty)
+        with pytest.raises(InvariantViolation, match=message):
+            max_central_right_divisor(p)
 
     @given(st.data())
     @settings(max_examples=40)

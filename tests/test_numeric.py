@@ -1,6 +1,7 @@
 """Floating-point backend: classification, healing, and agreement."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -309,6 +310,25 @@ class TestCompanionRootsF64:
         poly = parse_to_qpoly("1/10000000000000 x^2 + 10000000000000")
         with pytest.raises(NumericFailure):
             classify_f64(poly)
+
+
+def random_monic_degree_24(seed: int) -> QPoly:
+    rng = random.Random(seed)
+    coeffs = [A.quat(*[rng.randint(-3, 3) for _ in range(4)]) for _ in range(24)]
+    return QPoly(A, coeffs + [A.one])
+
+
+class TestCountInvariant:
+    """central + isolated + 2 * spherical <= degree (Pogorui-Shapiro)."""
+
+    @pytest.mark.parametrize("seed, count", [(0, 27), (1, 29)])
+    def test_overcounted_degree_24_reports_fail(self, seed, count):
+        # both stay within the two weaker checks this one replaced
+        # (classes with roots <= 24, spheres <= 12), so they used to be
+        # returned as silent wrong answers
+        with pytest.raises(NumericFailure, match=f"= {count} exceeds the degree 24") as err:
+            classify_f64(random_monic_degree_24(seed))
+        assert err.value.partial.root_count == count
 
 
 class TestSettings:

@@ -15,6 +15,7 @@ from quatpoly import (
     SphereClass,
     SphericalRoots,
     analyze_sparse,
+    candidate_classes,
     class_remainder,
     class_status,
     classify,
@@ -24,15 +25,23 @@ from quatpoly import (
     conjugation_root_kernel,
     eval_right,
     in_subfield,
+    minimal_polynomial,
     nonroot_conjugates,
     parse_to_qpoly,
+    roots_in_center,
     roots_in_subfield,
     same_class,
     spherical_bound_report,
     spherical_classes,
 )
 
-from conftest import qpolys, quaternions, separated_class_product
+from conftest import (
+    DIVISION_ALGEBRAS,
+    FRACTIONAL_ALGEBRAS,
+    qpolys,
+    quaternions,
+    separated_class_product,
+)
 
 A = HAMILTON
 
@@ -138,6 +147,35 @@ class TestClassifyProperties:
             assert c0.is_zero and c1.is_zero
         else:
             assert not (c0.is_zero and c1.is_zero)
+
+
+@st.composite
+def planted_products(draw):
+    """(x - q1)...(x - qk), times a sphere quadratic half of the time."""
+    alg = draw(st.sampled_from(DIVISION_ALGEBRAS + FRACTIONAL_ALGEBRAS))
+    x = QPoly.x(alg)
+    poly = QPoly.constant(alg.one)
+    for q in draw(st.lists(quaternions(alg, bound=3), min_size=1, max_size=3)):
+        poly = poly * (x - QPoly.constant(q))
+    q = draw(quaternions(alg, bound=3))
+    if not q.is_central and draw(st.booleans()):
+        poly = poly * minimal_polynomial(conjugacy_class(q)).lift(alg)
+    return poly
+
+
+class TestClassifyAgreesWithStages:
+    """classify shares one integer structure across its stages; each
+    public stage function must give what classify reports."""
+
+    @given(planted_products())
+    @settings(max_examples=40, deadline=None)
+    def test_classify_matches_public_stages(self, poly):
+        rep = classify(poly)
+        assert list(rep.central_roots) == roots_in_center(poly)
+        spheres = [c for c in candidate_classes(poly) if isinstance(c, SphereClass)]
+        assert [cls for cls, _ in rep.class_entries] == spheres
+        for cls, status in rep.class_entries:
+            assert class_status(poly, cls) == status
 
 
 class TestSphericalBound:
