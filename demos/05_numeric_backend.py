@@ -1,9 +1,10 @@
 """The float backend and its agreement with exact arithmetic.
 
-classify_f64 finds candidate classes from companion-polynomial
-eigenvalues, probes them with float evaluations, and reports the same
-kind of class structure as the exact backend.  agree_with_exact runs
-both and reconciles them.
+classify_f64 takes the exact split P = c G H and places its classes
+with float eigenvalues of two square-free parts: sqfree(H) for central
+roots and spheres, and the rest of sqfree(N(G)) for isolated roots.  It
+reports the same kind of class structure as the exact backend.
+agree_with_exact runs both and reconciles them.
 Run: python3 demos/05_numeric_backend.py
 """
 
@@ -39,9 +40,9 @@ print("numeric classes:",
       ", ".join(str(c) for c, _ in agreement.numeric_report.class_entries))
 print("agreed:", agreement.agreed, "| flags:", len(agreement.flagged))
 
-# resolution limit: two spheres whose invariants differ by 5e-5 sit
-# below the joint scatter of the multiplicity-4 eigenvalue cluster and
-# fuse into a midpoint class; at a 1e-2 gap they separate cleanly
+# nearby classes: the companion holds each sphere quadratic squared, but
+# sqfree(H) holds it once, so spheres 5e-5 apart resolve as cleanly as
+# spheres 1e-2 apart
 for text in ["(x^2 + 1)(x^2 + 10001/10000)", "(x^2 + 1)(x^2 + 101/100)"]:
     rep = classify_f64(parse_to_qpoly(text))
     print(f"\nP = {text}")

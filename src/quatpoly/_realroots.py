@@ -1,9 +1,9 @@
 """Float root extraction for real polynomials, plus root clustering.
 
 Thin wrapper around numpy's companion-matrix eigenvalue solver, with
-the one clustering routine both backends use: single-linkage grouping
-of nearby eigenvalues at a relative tolerance, and a split of roots
-into real values and conjugate-pair invariants (trace, norm).
+the clustering routine of the exact candidate search: single-linkage
+grouping of nearby eigenvalues at a relative tolerance, and a split of
+roots into real values and conjugate-pair invariants (trace, norm).
 """
 
 from __future__ import annotations

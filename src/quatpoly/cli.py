@@ -75,7 +75,7 @@ def _settings(eps: Optional[float]) -> NumericSettings:
     if eps <= 0:
         raise PreconditionError(f"--eps must be positive, got {eps}")
     # the default ratios, so --eps 1e-9 is the default
-    return NumericSettings(eps_zero=eps, eps_class=10 * eps, cluster_tol=1000 * eps)
+    return NumericSettings(eps_zero=eps, eps_class=10 * eps)
 
 
 def _f(v: float) -> float:
@@ -301,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--numeric", action="store_true",
                         help="use the float64 backend where supported")
     common.add_argument("--eps", type=float, default=None,
-                        help="numeric zero tolerance (implies class tolerance 10*eps "
-                             "and clustering tolerance 1000*eps)")
+                        help="numeric residual tolerance (implies class tolerance "
+                             "eps_class = 10*eps)")
     common.add_argument("--format", choices=("text", "json"), default="text")
 
     parser = _Parser(prog="quatpoly", description=__doc__.splitlines()[0])

@@ -154,6 +154,25 @@ class _Structure:
             return _int_squarefree(self.companion)
         return _squarefree_prs(self.companion)
 
+    @cached_property
+    def central_squarefree(self) -> list[int]:
+        """Primitive square-free part of H: its real roots are P's central
+        roots and its other roots pair into P's spherical classes."""
+        return _int_squarefree(self.beck[0])
+
+    @cached_property
+    def isolated_part(self) -> list[int]:
+        """sqfree(N(G)) / gcd(., sqfree(H)) for P = c * G * H, primitive.
+
+        N(G) has no real root, and over a division algebra each class of
+        its roots holds exactly one root of G; where H does not vanish on
+        the class, P(q) = c G(q) H(q) makes that the one root of P there.
+        """
+        # the quotient rows are those of c * G, whose norm is N(c) N(G)
+        part = _int_squarefree(_primitive(_int_norm_form(self.beck[1], self.poly.algebra)[0]))
+        common = _int_gcd([part, self.central_squarefree])
+        return part if len(common) == 1 else _int_quotient(part, common)
+
 
 def beck_decompose(poly: QPoly) -> BeckFactorization:
     """Factor P = c * G * H with H the maximal central right divisor.
@@ -194,7 +213,9 @@ def rational_roots(poly: CentralPoly) -> list[Fraction]:
     rational roots are y/L for the integer roots y of the monic
     g(y) = L^(n-1) f(y/L), and each such y divides g(0) != 0.  At the
     smallest prime p > n where every root of g mod p is simple (only the
-    primes dividing the discriminant of the square-free g fail), Newton's
+    primes dividing the discriminant of the square-free g fail, so more
+    failures than that discriminant can have prime factors raise
+    :class:`InvariantViolation`), Newton's
     iteration lifts each root mod p to a modulus M = p^(2^k) > 2|g(0)|;
     the symmetric residue y is kept when y/L is a root of the input,
     confirmed by exact evaluation.
@@ -215,12 +236,20 @@ def rational_roots(poly: CentralPoly) -> list[Fraction]:
         n, lead = len(f) - 1, f[-1]
         g = [c * lead ** (n - 1 - k) for k, c in enumerate(f[:-1])] + [1]
         dg = [k * c for k, c in enumerate(g)][1:]
+        # a failing prime divides disc(g), which for a square-free g is a
+        # nonzero integer of at most n^n |g|_2^(2n-2) (Mahler), so of
+        # fewer distinct prime factors than this bound has bits
+        failures = n * n.bit_length() + (n - 1) * sum(c * c for c in g).bit_length()
         p = n
-        while True:  # ends: g is square-free
+        while True:
             p = next(q for q in count(p + 1) if all(q % d for d in range(2, isqrt(q) + 1)))
             lifts = [r for r in range(p) if _eval_mod(g, r, p) == 0]
             if all(_eval_mod(dg, r, p) for r in lifts):
                 break
+            failures -= 1
+            if failures < 0:
+                raise InvariantViolation(
+                    f"no prime separates the roots of {g}: the square-free step left a repeat")
         modulus = p
         while modulus <= 2 * abs(g[0]):
             modulus *= modulus

@@ -1,27 +1,15 @@
 """Float backend over the classical Hamilton quaternions.
 
-Mirrors the exact classification pipeline in float64 with explicit,
-scale-relative tolerances: zero tests compare against eps_zero times
-the evaluation scale, class invariants match within eps_class, and any
-decision landing within a factor of 10 of its tolerance is flagged as
-uncertain instead of silently resolved.
-
-Repeated root classes need care: an eigenvalue of multiplicity m comes
-out of the solver scattered around the truth by roughly eps^(1/m), far
-beyond any fixed clustering tolerance.  Two mechanisms compensate:
-sphere probes re-aim themselves at the invariants of the candidate
-root they produce (which lands on the true class), and a healing pass
-re-pools fragmented eigenvalue clusters, accepting the merged class
-when deflating the companion by it accounts for every eigenvalue in
-the group; pooled polygon means are accurate because eigenvalue sums
-obey the coefficient sum relations.  Two limits remain: a class
-repeated beyond what these recover (for example a cubed linear factor)
-stays resolved only to the scatter radius, and distinct classes closer
-together than the joint scatter of their combined multiplicity fuse
-into their midpoint class.  The exact backend, which reduces to a
-square-free companion over the rationals, is the reference in both
-situations, and the agreement checker treats a fusion within the
-eigenvalue resolution radius as a flag rather than a disagreement.
+Classification runs on P's exact Beck split P = c * G * H, taken over
+the rationals: a float is a dyadic rational, so float input converts
+without loss.  The real roots of sqfree(H) are P's central roots, its
+conjugate root pairs are P's spherical classes, and every root pair of
+sqfree(N(G)) / gcd(., sqfree(H)) is a class holding exactly one root of
+P.  Both parts are square-free, so the eigensolver never faces a
+multiple root, and the class counts are exact by construction.  Floats
+only place the classes and compute isolated representatives; zero
+tests compare a residual against eps_zero times the evaluation scale,
+and a failed test raises :class:`NumericFailure` rather than guessing.
 
 ``agree_with_exact`` runs both backends on one rational polynomial and
 reconciles the reports; numeric-only classes whose rationalization
@@ -33,24 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from fractions import Fraction
+from typing import Sequence, Union
 
-from ._realroots import fold_cluster, real_poly_roots
-from .algebra import HAMILTON, Quaternion, SphereClass, is_rational_square
+from ._realroots import real_poly_roots
+from .algebra import HAMILTON, Quaternion, is_rational_square
+from .decompose import _Structure
 from .errors import NumericFailure, PreconditionError
 from .polynomials import CentralPoly, QPoly
-from .roots import (
-    ClassStatus,
-    IsolatedRoot,
-    NoRootInClass,
-    RootReport,
-    SphericalRoots,
-    UncertainStatus,
-    _rationalize,
-    classify,
-)
-
-_MACHINE_EPS = 2.0 ** -52
+from .roots import IsolatedRoot, RootReport, SphericalRoots, _rationalize, classify
 
 Quat = tuple[float, float, float, float]  # (w, x, y, z): a quaternion inside the backend
 
@@ -188,19 +167,18 @@ def _quatf(q: Quat, stage: str) -> QuatF:
 class NumericSettings:
     """Tolerances for the float backend.
 
-    ``eps_zero`` scales zero tests, ``eps_class`` scales class-invariant
-    matching, ``cluster_tol`` groups companion eigenvalues, and
-    ``max_condition`` bounds the companion coefficient spread accepted
-    before the eigenvalue solve is refused.
+    ``eps_zero`` scales the residual tests, ``eps_class`` scales
+    class-invariant matching against the exact backend and subfield
+    membership, and ``max_condition`` bounds the companion coefficient
+    spread accepted before the eigenvalue solve is refused.
     """
 
     eps_zero: float = 1e-9
     eps_class: float = 1e-8
-    cluster_tol: float = 1e-6
     max_condition: float = 1e12
 
     def __post_init__(self):
-        for name in ("eps_zero", "eps_class", "cluster_tol", "max_condition"):
+        for name in ("eps_zero", "eps_class", "max_condition"):
             value = float(getattr(self, name))
             if not math.isfinite(value) or value <= 0.0:
                 raise PreconditionError(f"{name} must be a positive float, got {value!r}")
@@ -269,17 +247,6 @@ def _eval_scale(coeffs: Sequence[float], magnitude: float) -> float:
     return total
 
 
-def _div_linear(coeffs: Sequence[float], v: float) -> tuple[list[float], float]:
-    """Synthetic division by (x - v): quotient and remainder."""
-    quot = [0.0] * max(0, len(coeffs) - 1)
-    carry = 0.0
-    for d in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[d] + carry * v
-        quot[d - 1] = carry
-    rem = coeffs[0] + carry * v if coeffs else 0.0
-    return quot, rem
-
-
 def _div_quadratic(coeffs: Sequence[float], t: float, n: float) -> tuple[list[float], float, float]:
     """Synthetic division by x^2 - t x + n: quotient and linear remainder."""
     rem = list(coeffs)
@@ -338,45 +305,6 @@ def _companion_roots(comp: Sequence[float], st: NumericSettings) -> list[complex
 # -- classification engine ----------------------------------------------------
 
 
-@dataclass
-class _Item:
-    kind: str                     # "central" or "sphere"
-    conf: str                     # "root", "noroot", or "uncertain"
-    points: list[complex]
-    value: float = 0.0
-    trace: float = 0.0
-    norm: float = 0.0
-    remainder: Optional[tuple[Quat, Quat]] = None  # (alpha, beta) of a sphere probe
-    root: Optional[Quat] = None   # the isolated root of a sphere
-    reason: str = ""              # why the item is uncertain
-
-    def position(self) -> complex:
-        if self.kind == "central":
-            return complex(self.value, 0.0)
-        return complex(
-            self.trace / 2.0, math.sqrt(max(self.norm - self.trace**2 / 4.0, 0.0))
-        )
-
-    def status(self) -> ClassStatus:
-        if self.root:
-            return IsolatedRoot(_quatf(self.root, "isolated root"))
-        if self.conf == "root":
-            return SphericalRoots()
-        alpha, beta = [_quatf(q, "remainder") for q in self.remainder or ()] or (None, None)
-        if self.conf == "noroot":
-            return NoRootInClass(alpha, beta)
-        return UncertainStatus(alpha=alpha, beta=beta, reason=self.reason)
-
-
-def _zero_call(value: float, threshold: float, stage: str) -> str:
-    _finite(stage, value, threshold)
-    if value <= threshold:
-        return "zero"
-    if value <= 10.0 * threshold:
-        return "band"
-    return "nonzero"
-
-
 def _quat_quadratic_remainder(coeffs: Sequence[Quat], t: float, n: float) -> tuple[Quat, Quat]:
     """Remainder of the polynomial modulo the central x^2 - t x + n."""
     # reduce each coordinate row; regroup (quotient, r1, r0) across rows
@@ -384,226 +312,69 @@ def _quat_quadratic_remainder(coeffs: Sequence[Quat], t: float, n: float) -> tup
     return alpha, beta
 
 
-def _settle_central(
-    coeffs: Sequence[Quat], mags: Sequence[float], v: float, points: list[complex],
-    st: NumericSettings,
-) -> _Item:
-    # No Newton refinement: near a multiple root the float companion is
-    # cancellation-noise below the scatter radius, so steps random-walk.
-    # Cluster means are already backed by the coefficient sum relations,
-    # and the healing pass re-pools fragmented polygons.
-    residual = _magnitude(_eval_float(coeffs, (v, 0.0, 0.0, 0.0)))
-    call = _zero_call(residual, st.eps_zero * _eval_scale(mags, abs(v)), "central evaluation")
-    if call == "zero":
-        return _Item("central", "root", points, value=v)
-    if call == "band":
-        reason = f"evaluation residual {residual:.3g} within 10x of the zero tolerance"
-        return _Item("central", "uncertain", points, value=v, reason=reason)
-    return _Item("central", "noroot", points, value=v)
-
-
-def _settle_sphere(
-    coeffs: Sequence[Quat], mags: Sequence[float], t: float, n: float, points: list[complex],
-    st: NumericSettings,
-) -> _Item:
-    for _ in range(6):
-        disc = t * t - 4.0 * n
-        if disc >= -100.0 * st.eps_class * (1.0 + t * t + 4.0 * abs(n)):
-            # A vanishing or positive discriminant is a (near-)central
-            # point, not a sphere; hand it to the central path.
-            return _settle_central(coeffs, mags, t / 2.0, points, st)
-        rho = math.sqrt(max(abs(n), t * t))
-        threshold = st.eps_zero * _eval_scale(mags, 1.0 + rho)
-        alpha, beta = remainder = _quat_quadratic_remainder(coeffs, t, n)
-        call_a = _zero_call(_magnitude(alpha), threshold, "sphere remainder")
-        call_b = _zero_call(_magnitude(beta), threshold, "sphere remainder")
-        if call_a == "zero" and call_b == "zero":
-            return _Item("sphere", "root", points, trace=t, norm=n)
-        if call_a == "band" or (call_a == "zero" and call_b == "band"):
-            return _Item("sphere", "uncertain", points, trace=t, norm=n, remainder=remainder,
-                         reason="remainder within 10x of the zero tolerance")
-        if call_a == "zero":
-            return _Item("sphere", "noroot", points, trace=t, norm=n, remainder=remainder)
-        candidate = tuple(-v for v in _qmul(_qinverse(alpha), beta))
-        t2, n2 = 2.0 * candidate[0], _qnorm(candidate)
-        _finite("candidate root invariant", t2, n2)
-        if abs(t2 - t) <= st.eps_class * (1.0 + abs(t)) and abs(n2 - n) <= st.eps_class * (
-            1.0 + abs(n)
-        ):
-            residual = _magnitude(_eval_float(coeffs, candidate))
-            bound = st.eps_zero * _eval_scale(mags, _magnitude(candidate))
-            call_r = _zero_call(residual, bound, "candidate root evaluation")
-            if call_r == "zero":
-                return _Item("sphere", "root", points, trace=t2, norm=n2, root=candidate)
-            if call_r == "band":
-                reason = f"candidate root residual {residual:.3g} within 10x of the zero tolerance"
-                return _Item("sphere", "uncertain", points, trace=t, norm=n,
-                             remainder=remainder, reason=reason)
-            return _Item("sphere", "noroot", points, trace=t, norm=n, remainder=remainder)
-        t, n = t2, n2
-    reason = "class invariants did not settle under re-aiming"
-    return _Item("sphere", "uncertain", points, trace=t, norm=n, reason=reason)
-
-
-def _settle(
-    coeffs: Sequence[Quat], mags: Sequence[float], points: list[complex], st: NumericSettings
-) -> _Item:
-    mean = sum(points) / len(points)
-    radius = max(abs(p - mean) for p in points)
-    if mean.imag <= max(st.cluster_tol * (1.0 + abs(mean)), 0.8 * radius):
-        return _settle_central(coeffs, mags, mean.real, points, st)
-    return _settle_sphere(coeffs, mags, 2.0 * mean.real, abs(mean) ** 2, points, st)
-
-
-def _deflation_coverage(comp: Sequence[float], item: _Item, st: NumericSettings) -> int:
-    """How many companion eigenvalues the item's class accounts for."""
-    current = list(comp)
-    covered = 0
-    while True:
-        if item.kind == "central":
-            if len(current) < 2:
-                return covered
-            quot, rem = _div_linear(current, item.value)
-            bound = 10.0 * st.eps_zero * _eval_scale(current, 1.0 + abs(item.value))
-            _finite("deflation remainder", rem, bound)
-            if abs(rem) > bound:
-                return covered
-            covered += 1
-        else:
-            if len(current) < 3:
-                return covered
-            rho = 1.0 + math.sqrt(max(abs(item.norm), item.trace**2))
-            quot, r1, r0 = _div_quadratic(current, item.trace, item.norm)
-            bound = 10.0 * st.eps_zero * _eval_scale(current, rho)
-            _finite("deflation remainder", r1, r0, bound)
-            if math.hypot(r1, r0) > bound:
-                return covered
-            covered += 2
-        current = quot
-
-
-def _same_item_class(a: _Item, b: _Item, tol: float) -> bool:
-    if a.kind != b.kind:
-        return False
-    if a.kind == "central":
-        return abs(a.value - b.value) <= tol * (1.0 + abs(a.value))
-    return abs(a.trace - b.trace) <= tol * (1.0 + abs(a.trace)) and abs(
-        a.norm - b.norm
-    ) <= tol * (1.0 + abs(a.norm))
-
-
-_CONF_RANK = {"root": 0, "noroot": 1, "uncertain": 2}
-
-
-def _dedupe(items: list[_Item], st: NumericSettings) -> list[_Item]:
-    merged: list[_Item] = []
-    for item in sorted(items, key=lambda it: _CONF_RANK[it.conf]):
-        twin = next(
-            (m for m in merged if _same_item_class(m, item, 100.0 * st.eps_class)), None
-        )
-        if twin is None:
-            merged.append(item)
-        else:
-            twin.points = twin.points + item.points
-    return merged
-
-
-def _resolution_radius(companion_degree: int) -> float:
-    """Eigenvalue scatter radius: multiplicity m scatters by eps^(1/m), m <= degree."""
-    return 8.0 * _MACHINE_EPS ** (1.0 / max(2, companion_degree))
-
-
-def _heal(
-    items: list[_Item], coeffs: Sequence[Quat], mags: Sequence[float], comp: Sequence[float],
-    st: NumericSettings,
-) -> list[_Item]:
-    """Merge fragment clusters when deflation validates the merged class.
-
-    Eigenvalue polygons of high-multiplicity companion roots fragment
-    under any fixed clustering tolerance.  Groups of nearby items are
-    re-probed as one cluster at escalating radii; the merged class is
-    accepted only if it is confidently root-bearing and dividing the
-    companion by it accounts for every eigenvalue in the group, so
-    genuinely distinct nearby classes are left untouched.
-    """
-    cap = _resolution_radius(len(comp) - 1)
-    level = 4.0 * st.cluster_tol
-    positions = [it.position() for it in items]
-    while level <= cap and len(items) > 1:
-        index_groups = fold_cluster(positions, level)
-        if len(index_groups) < len(items):
-            new_items: list[_Item] = []
-            consumed: set[int] = set()
-            for members in index_groups:
-                if len(members) < 2:
-                    continue
-                group = [items[m] for m in members]
-                if all(it.conf == "root" for it in group) and len(
-                    {it.kind for it in group}
-                ) > 1:
-                    continue
-                pooled = [p for it in group for p in it.points]
-                merged = _settle(coeffs, mags, pooled, st)
-                if merged.conf != "root":
-                    continue
-                if _deflation_coverage(comp, merged, st) < len(pooled):
-                    continue
-                new_items.append(merged)
-                consumed.update(members)
-            if consumed:
-                items = [
-                    it for idx, it in enumerate(items) if idx not in consumed
-                ] + new_items
-                items = _dedupe(items, st)
-                positions = [it.position() for it in items]
-        level *= 4.0
-    return items
+def _part_roots(part: Sequence[int], st: NumericSettings) -> list[complex]:
+    """Residual-checked roots of an exact primitive integer polynomial."""
+    lead = part[-1]
+    try:
+        comp = [c / lead for c in part]
+    except OverflowError:
+        raise NumericFailure("non-finite companion coefficient: a ratio to the "
+                             "leading coefficient exceeds float64") from None
+    return _companion_roots(comp, st)
 
 
 def classify_f64(poly: PolyLike, settings: NumericSettings | None = None) -> RootReport:
     """Float classification mirroring :func:`quatpoly.roots.classify`.
 
-    Candidate classes come from clustered companion eigenvalues, with
-    self-correcting sphere probes and deflation-validated healing of
-    fragmented clusters; statuses use eps-relative zero tests, and
-    decisions within a factor of 10 of their tolerance produce
-    :class:`UncertainStatus` entries.
+    The classes come from the exact split P = c * G * H, so counts are
+    never guessed from clustered eigenvalues: the real roots of
+    sqfree(H) are the central roots, its conjugate pairs z give the
+    spherical classes (2 Re z, |z|^2), and each conjugate pair of
+    sqfree(N(G)) / gcd(., sqfree(H)) gives one class holding one
+    isolated root, the float -alpha^{-1} beta of P's remainder modulo
+    the class quadratic.  Floats only place the classes and compute the
+    representatives; each eigenvalue and each representative must pass
+    its residual test at eps_zero, or :class:`NumericFailure` is raised.
     """
     st = settings or NumericSettings()
     coeffs = _as_float_coeffs(poly)
     if len(coeffs) < 2:
         raise PreconditionError("classification needs a polynomial of degree at least 1")
     degree = len(coeffs) - 1
-    comp = _float_companion(coeffs)
-    roots = _companion_roots(comp, st)
-    mags = [_magnitude(c) for c in coeffs]
-    folded = [complex(z.real, abs(z.imag)) for z in roots]
-    items = [
-        _settle(coeffs, mags, [folded[idx] for idx in group], st)
-        for group in fold_cluster(folded, st.cluster_tol)
-    ]
-    items = _dedupe(items, st)
-    items = _heal(items, coeffs, mags, comp, st)
+    # the diagonal terms |c_m|^2 of the companion must be floats
+    _finite("companion coefficient", max(map(_qnorm, coeffs)))
+    if not isinstance(poly, QPoly):
+        # a float is a dyadic rational, so the exact form loses nothing
+        poly = QPoly(HAMILTON, (HAMILTON.quat(*map(Fraction, c)) for c in coeffs))
+    structure = _Structure(poly)
 
     central: list[float] = []
     entries: list[tuple] = []
-    for item in items:
-        if item.kind == "central":
-            if item.conf == "root":
-                central.append(item.value)
-            elif item.conf == "uncertain":
-                entries.append((CentralClassF(item.value), item.status()))
-            # Non-root central candidates are eigensolver debris: over
-            # the full quaternions a real companion root always
-            # certifies a central root, so they carry no finding.
-        else:
-            entries.append((SphereClassF(item.trace, item.norm), item.status()))
+    for z in _part_roots(structure.central_squarefree, st):
+        if z.imag == 0.0:
+            central.append(z.real)
+        elif z.imag > 0.0:
+            entries.append((SphereClassF(2.0 * z.real, abs(z) ** 2), SphericalRoots()))
+    mags = [_magnitude(c) for c in coeffs]
+    for z in _part_roots(structure.isolated_part, st):
+        if z.imag == 0.0:
+            # N(G)(r) = |G(r)|^2, so a real root r would make x - r divide G
+            raise NumericFailure(f"the isolated part has a real root {z.real!r}")
+        if z.imag < 0.0:
+            continue
+        t, n = 2.0 * z.real, abs(z) ** 2
+        alpha, beta = _quat_quadratic_remainder(coeffs, t, n)
+        root = tuple(-v for v in _qmul(_qinverse(alpha), beta))
+        residual = _magnitude(_eval_float(coeffs, root))
+        bound = st.eps_zero * _eval_scale(mags, _magnitude(root))
+        _finite("isolated root residual", residual, bound)
+        if residual > bound:
+            raise NumericFailure(
+                f"isolated root {root} of the class ({t!r}, {n!r}) has residual "
+                f"{residual:.3g} > {bound:.3g}")
+        entries.append((SphereClassF(t, n), IsolatedRoot(_quatf(root, "isolated root"))))
     central.sort()
-    entries.sort(
-        key=lambda e: (e[0].trace, e[0].norm)
-        if isinstance(e[0], SphereClassF)
-        else (e[0].value, 0.0)
-    )
+    entries.sort(key=lambda e: (e[0].trace, e[0].norm))
     report = RootReport(
         degree=degree,
         central_roots=tuple(central),
@@ -663,25 +434,6 @@ def agree_with_exact(
     matched: list[str] = []
     mismatches: list[str] = []
     flagged: list[str] = []
-    # Classes closer together than the companion eigensolve can resolve
-    # (repeated-root scatter grows like eps^(1/multiplicity)) may fuse
-    # on the float side; within this radius a missing exact class is a
-    # documented resolution limit, not a disagreement.
-    resolution = _resolution_radius(2 * poly.degree)
-
-    def _near_any_numeric(t: float, n: Optional[float]) -> bool:
-        for v in numeric_report.central_roots:
-            if n is None and abs(v - t) <= resolution * (1 + abs(t)):
-                return True
-        for c, _ in numeric_report.class_entries:
-            ct = c.trace if isinstance(c, SphereClassF) else c.value * 2.0
-            cn = c.norm if isinstance(c, SphereClassF) else c.value**2
-            tt, nn = (t, n) if n is not None else (2.0 * t, t * t)
-            if abs(ct - tt) <= resolution * (1 + abs(tt)) and abs(cn - nn) <= resolution * (
-                1 + abs(nn)
-            ):
-                return True
-        return False
 
     leftovers_central = list(numeric_report.central_roots)
     for root in exact_report.central_roots:
@@ -695,25 +447,13 @@ def agree_with_exact(
             None,
         )
         if hit is None:
-            if _near_any_numeric(target, None):
-                flagged.append(
-                    f"exact central root {root} unresolved numerically "
-                    "(a numeric class sits within the eigenvalue resolution radius)"
-                )
-            else:
-                mismatches.append(f"exact central root {root} missing numerically")
+            mismatches.append(f"exact central root {root} missing numerically")
         else:
             leftovers_central.remove(hit)
             matched.append(f"central root {root} ~ {hit:.12g}")
 
-    leftovers = [
-        (cls, status)
-        for cls, status in numeric_report.class_entries
-        if isinstance(cls, SphereClassF)
-    ]
+    leftovers = list(numeric_report.class_entries)
     for cls, status in exact_report.class_entries:
-        if not isinstance(cls, SphereClass):
-            continue
         t, n = float(cls.trace), float(cls.norm)
         hit = next(
             (
@@ -726,17 +466,7 @@ def agree_with_exact(
         )
         kind = status.kind
         if hit is None:
-            if kind == "no-root":
-                # A certified class without roots need not resurface on
-                # the float side; only root-bearing entries must match.
-                flagged.append(f"exact no-root class {cls} not re-derived numerically")
-            elif _near_any_numeric(t, n):
-                flagged.append(
-                    f"exact {kind} class {cls} unresolved numerically "
-                    "(a numeric class sits within the eigenvalue resolution radius)"
-                )
-            else:
-                mismatches.append(f"exact {kind} class {cls} missing numerically")
+            mismatches.append(f"exact {kind} class {cls} missing numerically")
             continue
         leftovers.remove(hit)
         numeric_kind = hit[1].kind
@@ -769,8 +499,6 @@ def agree_with_exact(
             )
     for cls, status in leftovers:
         kind = status.kind
-        if kind == "no-root":
-            continue
         rt, rn = (_rationalize(v, 10**6, st.eps_class) for v in (cls.trace, cls.norm))
         certified = (
             rt is not None and rn is not None

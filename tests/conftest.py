@@ -11,6 +11,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from quatpoly import HAMILTON, AlgebraParams, QPoly, Quaternion
@@ -62,6 +63,12 @@ def monic_qpolys(draw, algebra: AlgebraParams = HAMILTON, max_degree: int = 6,
     coeffs = [draw(quaternions(algebra, bound)) for _ in range(degree)]
     coeffs.append(algebra.one)
     return QPoly(algebra, coeffs)
+
+
+@pytest.fixture(scope="session")
+def sympy():
+    """The sympy oracle; tests that use it skip where it is missing."""
+    return pytest.importorskip("sympy")
 
 
 # -- seeded helpers for the acceptance corpus ---------------------------------

@@ -162,10 +162,13 @@ class TestRationalRoots:
              * CentralPoly((2, 0, 1)) ** 2)
         assert rational_roots(p) == [Fraction(-2), Fraction(1)]
 
-
-@pytest.fixture(scope="module")
-def sympy():
-    return pytest.importorskip("sympy")
+    def test_faulty_squarefree_step_is_caught(self, monkeypatch):
+        # with the repeated root left in, every prime fails; the prime
+        # search must give up instead of running forever
+        monkeypatch.setattr(decompose, "_int_squarefree", lambda f: f)
+        p = CentralPoly((-1, 1)) ** 2 * CentralPoly((2, 1))
+        with pytest.raises(InvariantViolation, match="no prime separates"):
+            rational_roots(p)
 
 
 _HUGE_PRIMES = (10**18 + 9, 2**61 - 1)

@@ -1,5 +1,6 @@
-"""Floating-point backend: classification, healing, and agreement."""
+"""Floating-point backend: classification on the exact split, and agreement."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from quatpoly import (
     HAMILTON,
     CentralClassF,
+    CentralPoly,
     IsolatedRoot,
     NumericFailure,
     NumericSettings,
@@ -183,7 +185,8 @@ class TestClassifyF64:
 
     def test_repeated_noncentral_classes_heal(self):
         # (x - i)(x - j)(x - k) has the lone root k; the companion is
-        # (x^2 + 1)^3, so float fragments must be merged back together
+        # (x^2 + 1)^3, and its square-free isolated part x^2 + 1 is
+        # solved instead
         rep = classify_f64(parse_to_qpoly("(x - i)(x - j)(x - k)"))
         assert rep.central_roots == ()
         ((cls, status),) = rep.class_entries
@@ -206,16 +209,17 @@ class TestClassifyF64:
         assert norms[0] == pytest.approx(1.0, abs=1e-4)
         assert norms[1] == pytest.approx(1.01, abs=1e-4)
 
-    def test_sub_resolution_spheres_fuse(self):
-        # double eigenvalues 5e-5 apart sit below the joint scatter of
-        # a multiplicity-4 cluster; the honest answer is one midpoint
-        # class, and the agreement checker downgrades it to a flag
+    def test_nearby_spheres_stay_separate(self):
+        # the companion's double roots 5e-5 apart would scatter into one
+        # cluster; sqfree(H) has them as simple roots
         rep = classify_f64(parse_to_qpoly("(x^2 + 1)(x^2 + 10001/10000)"))
-        assert len(rep.class_entries) == 1
+        norms = sorted(cls.norm for cls, _ in rep.class_entries)
+        assert norms == pytest.approx([1.0, 1.0001], abs=1e-9)
+        assert entry_kinds(rep) == ["SphericalRoots", "SphericalRoots"]
         agreement = agree_with_exact(parse_to_qpoly("(x^2 + 1)(x^2 + 10001/10000)"))
         assert agreement.agreed
         assert agreement.mismatches == ()
-        assert len(agreement.flagged) >= 2
+        assert agreement.flagged == ()
 
     def test_irrational_spheres_found(self):
         rep = classify_f64(parse_to_qpoly("x^5 + x"))
@@ -227,6 +231,16 @@ class TestClassifyF64:
     def test_degree_zero_rejected(self):
         with pytest.raises(PreconditionError):
             classify_f64(QPoly.constant(A.i))
+
+    def test_float_coefficients_are_split_exactly(self):
+        # (x - i/2)(x - 1/4) in floats: a float is a dyadic rational, so
+        # the split sees the central factor exactly as the QPoly does
+        coeffs = [QuatF(0.0, 0.125, 0.0, 0.0), QuatF(-0.25, -0.5, 0.0, 0.0),
+                  QuatF(1.0, 0.0, 0.0, 0.0)]
+        rep = classify_f64(coeffs)
+        assert rep == classify_f64(parse_to_qpoly("(x - 1/2 i)(x - 1/4)"))
+        assert rep.central_roots == (0.25,)
+        assert entry_kinds(rep) == ["IsolatedRoot"]
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
@@ -312,23 +326,103 @@ class TestCompanionRootsF64:
             classify_f64(poly)
 
 
-def random_monic_degree_24(seed: int) -> QPoly:
-    rng = random.Random(seed)
-    coeffs = [A.quat(*[rng.randint(-3, 3) for _ in range(4)]) for _ in range(24)]
+def random_monic(rng: random.Random, degree: int) -> QPoly:
+    coeffs = [A.quat(*[rng.randint(-3, 3) for _ in range(4)]) for _ in range(degree)]
     return QPoly(A, coeffs + [A.one])
+
+
+def census(poly: QPoly, sympy) -> tuple[int, int, int]:
+    """(central, spherical, isolated) counts of P = c G H from sympy: the
+    real roots of sqfree(H), its other roots in pairs, and the root pairs
+    of sqfree(N(G)) / gcd(., sqfree(H))."""
+    x = sympy.Symbol("x")
+    coords = [sympy.Poly([sympy.Rational(c.coords()[m].numerator, c.coords()[m].denominator)
+                          for c in reversed(poly.coeffs)], x, domain="QQ") for m in range(4)]
+    h = functools.reduce(sympy.gcd, coords)
+    h_sf = h.sqf_part()
+    isolated = sum((c**2 for c in coords[1:]), coords[0]**2).quo(h**2).sqf_part()
+    isolated = isolated.quo(isolated.gcd(h_sf))
+    real = h_sf.count_roots()
+    return real, (h_sf.degree() - real) // 2, isolated.degree() // 2
+
+
+def counts(report) -> tuple[int, int, int]:
+    return (len(report.central_roots), len(report.spherical_classes),
+            len(report.isolated_roots))
+
+
+class TestCensus:
+    """Float counts equal the exact census of the Beck split."""
+
+    @given(st.integers(16, 32), st.randoms(use_true_random=False))
+    @settings(max_examples=12, deadline=None)
+    def test_random_monic_with_planted_factors(self, sympy, degree, rng):
+        v = Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
+        t = rng.randint(-4, 4)
+        n = Fraction(t * t, 4) + rng.randint(1, 9)
+        central = CentralPoly((-v, 1)) ** rng.randint(1, 2)
+        sphere = CentralPoly((n, -t, 1)) ** rng.randint(1, 2)
+        planted = (central * sphere).lift(A)
+        poly = random_monic(rng, degree - planted.degree) * planted
+        report = classify_f64(poly)
+        assert counts(report) == census(poly, sympy)
+        assert any(abs(r - float(v)) <= 1e-8 * (1 + abs(float(v))) for r in report.central_roots)
+        assert any(abs(cls.trace - t) <= 1e-8 * (1 + abs(t))
+                   and abs(cls.norm - float(n)) <= 1e-8 * (1 + float(n))
+                   for cls in report.spherical_classes)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_degree_24_matches_census(self, sympy, seed):
+        # clustering the full companion's eigenvalues finds false spheres here
+        poly = random_monic(random.Random(seed), 24)
+        assert counts(classify_f64(poly)) == census(poly, sympy) == (0, 0, 24)
+
+    # products whose full companion scatters a double sphere root beyond
+    # eps_class: (text, central roots, spheres, isolated classes)
+    PROBES = [
+        ("(x - (-2)) (x - (3 + 3 i + 2 j + 3 k)) (x - (-1 - j - 2 k))^2 (x^2 - (-2) x + (2)) "
+         "(x - (1)) (x^2 - (-4) x + (7)) (x - (-2 + 3 i + j - k))",
+         [-2, 1], [(-4, 7), (-2, 2)], [(-4, 15), (6, 31), (-2, 6)]),
+        ("(x - (2)) (x - (-1)) (x - (2 - 2 i + j + 2 k)) (x^2 - (2) x + (4)) (x - (1)) "
+         "(x - (-2 - 3 i + j - 3 k)) (x^2 - (4) x + (5)) (x^2 - (-2) x + (6)) "
+         "(x - (3 - 2 i - 2 j + 3 k))",
+         [-1, 1, 2], [(-2, 6), (2, 4), (4, 5)], [(-4, 23), (4, 13), (6, 26)]),
+        ("(x - (2 - j - 3 k)) (x^2 - (3) x + (13/4)) (x - 0) (x - (1)) (x - (-2 + i + 2 k)) "
+         "(x - (3)) (x^2 - (2) x + (6)) (x - (-2 i + 3 j + k)) (x^2 - 0 x + (1))",
+         [0, 1, 3], [(0, 1), (2, 6), (3, 13 / 4)], [(-4, 9), (0, 14), (4, 14)]),
+        ("(x - (-2 + 3 i - j - 3 k)) (x - (-5/2)) (x - (2 - 3 j - k)) (x^2 - (-4) x + (7)) "
+         "(x - (-3 + 3 i - j + 2 k)) (x - (-3/2)) (x^2 - (-4) x + (13)) (x - (1)) "
+         "(x^2 - 0 x + (1))",
+         [-2.5, -1.5, 1], [(-4, 13), (-4, 7), (0, 1)], [(-6, 23), (-4, 23), (4, 14)]),
+    ]
+
+    @pytest.mark.parametrize("text, central, spheres, isolated", PROBES)
+    def test_former_scatter_misses(self, text, central, spheres, isolated):
+        report = classify_f64(parse_to_qpoly(text))
+        eps = NumericSettings().eps_class
+        assert report.central_roots == pytest.approx(central, rel=eps, abs=eps)
+        for kind, want in (("SphericalRoots", spheres), ("IsolatedRoot", isolated)):
+            # rounded keys, so float jitter cannot reorder tied traces
+            got = sorted(((cls.trace, cls.norm) for cls, status in report.class_entries
+                          if type(status).__name__ == kind),
+                         key=lambda pair: (round(pair[0], 6), round(pair[1], 6)))
+            assert len(got) == len(want)
+            for (gt, gn), (wt, wn) in zip(got, sorted(want)):
+                assert gt == pytest.approx(wt, rel=eps, abs=eps)
+                assert gn == pytest.approx(wn, rel=eps, abs=eps)
 
 
 class TestCountInvariant:
     """central + isolated + 2 * spherical <= degree (Pogorui-Shapiro)."""
 
-    @pytest.mark.parametrize("seed, count", [(0, 27), (1, 29)])
-    def test_overcounted_degree_24_reports_fail(self, seed, count):
-        # both stay within the two weaker checks this one replaced
-        # (classes with roots <= 24, spheres <= 12), so they used to be
-        # returned as silent wrong answers
-        with pytest.raises(NumericFailure, match=f"= {count} exceeds the degree 24") as err:
-            classify_f64(random_monic_degree_24(seed))
-        assert err.value.partial.root_count == count
+    def test_overcount_is_numeric_failure(self, monkeypatch):
+        # the split makes an overcount impossible on a sound eigensolver;
+        # one that reports every root twice must be caught
+        solve = numeric.real_poly_roots
+        monkeypatch.setattr(numeric, "real_poly_roots", lambda comp: 2 * solve(comp))
+        with pytest.raises(NumericFailure, match="= 6 exceeds the degree 3") as err:
+            classify_f64(parse_to_qpoly("x^3 - x"))
+        assert err.value.partial.root_count == 6
 
 
 class TestSettings:
@@ -342,13 +436,13 @@ class TestSettings:
         with pytest.raises(PreconditionError):
             NumericSettings(eps_class=-1e-9)
         with pytest.raises(PreconditionError):
-            NumericSettings(cluster_tol=float("nan"))
+            NumericSettings(max_condition=float("nan"))
 
     def test_unattainable_tolerance_is_refused(self):
-        # residuals can never beat 1e-30, so the solve reports failure
-        # instead of inventing certainty
+        # the irrational roots of x^4 + 1 cannot have residuals below
+        # 1e-30, so the solve reports failure instead of inventing certainty
         with pytest.raises(NumericFailure):
-            classify_f64(parse_to_qpoly("(x - i)(x^2 - 1)"),
+            classify_f64(parse_to_qpoly("x^5 + x"),
                          NumericSettings(eps_zero=1e-30, eps_class=1e-8))
 
 

@@ -336,11 +336,6 @@ class TestCoordinateDivisionParity:
         assert h.divides(beck.central)
 
 
-@pytest.fixture(scope="module")
-def sympy():
-    return pytest.importorskip("sympy")
-
-
 def _to_sympy(poly: CentralPoly, sympy):
     coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly.coeffs)]
     return sympy.Poly(coeffs or [0], sympy.Symbol("x"), domain="QQ")
