@@ -1,9 +1,10 @@
 """Float root extraction for real polynomials, plus root clustering.
 
-Thin wrapper around numpy's companion-matrix eigenvalue solver, with
-the clustering routine of the exact candidate search: single-linkage
-grouping of nearby eigenvalues at a relative tolerance, and a split of
-roots into real values and conjugate-pair invariants (trace, norm).
+Thin wrapper around numpy's companion-matrix eigenvalue solver, for the
+float backend.  The clustering routine (single-linkage grouping at a
+relative tolerance, and a split into real values and conjugate-pair
+invariants) served the former eigenvalue-based exact candidate search;
+nothing in the package calls it, but the benchmark tracer wraps it.
 """
 
 from __future__ import annotations

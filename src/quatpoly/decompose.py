@@ -23,15 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
-from math import isqrt
+from itertools import combinations, count
+from math import isqrt, lcm
 
 from . import _linalg
 from .algebra import AlgebraParams, Quaternion, commutes
 from .errors import InvariantViolation, PreconditionError
 from .polynomials import (
-    CentralPoly, QPoly, _central_from_ints, _int_coords, _int_gcd, _int_norm_form, _int_quotient,
-    _int_squarefree, _monic_from_ints, _primitive, _squarefree_prs, _to_ints, gcrd)
+    _CERT_PRIME, CentralPoly, QPoly, _central_from_ints, _coprime_mod, _derivative, _divmod_mod,
+    _gcd_mod, _int_coords, _int_gcd, _int_norm_form, _int_quotient, _int_squarefree,
+    _monic_from_ints, _pow_mod, _primitive, _split_mod, _to_ints, _trim, gcrd)
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,10 @@ class _Structure:
     """P's integer coordinates and what classification derives from them.
 
     ``rows`` are the four coordinate polynomials of P as trimmed integer
-    lists over the common denominator ``den``.  The Beck step, the
-    companion and its square-free part are computed from them on first
-    use, so every stage of one classification shares one conversion out
-    of ``Fraction``.
+    lists over the common denominator ``den``.  The Beck step, the two
+    square-free parts of the split and their rational factors are
+    computed from them on first use, so every stage of one
+    classification shares one conversion out of ``Fraction``.
     """
 
     def __init__(self, poly: QPoly):
@@ -139,22 +140,6 @@ class _Structure:
         return _monic_from_ints(self.beck[0])
 
     @cached_property
-    def companion(self) -> list[int]:
-        """The companion P * conj(P) as a primitive integer polynomial."""
-        return _primitive(_int_norm_form(self.rows, self.poly.algebra)[0])
-
-    @cached_property
-    def companion_squarefree(self) -> list[int]:
-        """Primitive square-free part of the companion.
-
-        A nonconstant H puts H^2 into the companion, so the modular
-        certificate cannot pass and is not tried.
-        """
-        if len(self.beck[0]) == 1:
-            return _int_squarefree(self.companion)
-        return _squarefree_prs(self.companion)
-
-    @cached_property
     def central_squarefree(self) -> list[int]:
         """Primitive square-free part of H: its real roots are P's central
         roots and its other roots pair into P's spherical classes."""
@@ -167,11 +152,49 @@ class _Structure:
         N(G) has no real root, and over a division algebra each class of
         its roots holds exactly one root of G; where H does not vanish on
         the class, P(q) = c G(q) H(q) makes that the one root of P there.
+        Coprimality mod a prime p not dividing lc(part) skips the gcd: a
+        common primitive factor keeps its degree mod p, dividing both.
         """
         # the quotient rows are those of c * G, whose norm is N(c) N(G)
         part = _int_squarefree(_primitive(_int_norm_form(self.beck[1], self.poly.algebra)[0]))
+        if part[-1] % _CERT_PRIME and _coprime_mod(part, self.central_squarefree, _CERT_PRIME):
+            return part
         common = _int_gcd([part, self.central_squarefree])
         return part if len(common) == 1 else _int_quotient(part, common)
+
+    @cached_property
+    def central_factors(self) -> list[list[int]]:
+        """The rational factors of degree 1 and 2 of sqfree(H)."""
+        return _padic_factors(self.central_squarefree, 2)
+
+    @cached_property
+    def isolated_factors(self) -> list[list[int]]:
+        """The rational factors of degree 1 and 2 of the isolated part."""
+        return _padic_factors(self.isolated_part, 2)
+
+    def evaluate(self, q: Quaternion) -> Quaternion:
+        """P(q) = sum_m e_m P_m(q) over the basis e = 1, i, j, k.  Each
+        P_m(q) lies in Q(q): for q = (W + u) / D, with D making W, the pure
+        u's coordinates and s = u^2 integers, D^(n-1) P_m(q) = a_m + b_m u
+        by Horner's rule in Z[u]/(u^2 - s) on the rows padded to length n.
+        """
+        alg, pure = self.poly.algebra, q.pure()
+        scale = lcm(*[c.denominator for c in q.coords()])
+        scale *= (scale * scale * pure.norm()).denominator
+        w, s = int(q.w * scale), int(-pure.norm() * scale * scale)
+        n = max(map(len, self.rows))
+        alphas, betas = [], []
+        for row in self.rows:
+            a = b = 0
+            power = 1
+            for c in reversed(row + [0] * (n - len(row))):
+                a, b = a * w + b * s + c * power, a + b * w
+                power *= scale
+            alphas.append(a)
+            betas.append(b)
+        u = alg.quat(0, *(c * scale for c in pure.coords()[1:]))
+        value = alg.quat(*alphas) + alg.quat(*betas) * u
+        return value * Fraction(1, self.den * scale ** (n - 1))
 
 
 def beck_decompose(poly: QPoly) -> BeckFactorization:
@@ -197,69 +220,122 @@ def max_central_right_divisor(poly: QPoly) -> CentralPoly:
     return _Structure(poly).central
 
 
-def _eval_mod(ints: list[int], point: int, modulus: int) -> int:
-    acc = 0
-    for c in reversed(ints):
-        acc = (acc * point + c) % modulus
-    return acc
+def _ring_eval(poly: list[int], z: tuple, modulus: int) -> tuple[int, int]:
+    """poly(a + b theta) mod modulus in the ring where theta^2 = c theta + e,
+    for z = (a, b, c, e); the result is its (constant, theta) pair."""
+    a, b, c, e = z
+    u = v = 0
+    for coeff in reversed(poly):
+        t = v * b
+        u, v = (u * a + t * e + coeff) % modulus, (u * b + v * a + t * c) % modulus
+    return u, v
+
+
+def _newton(g: list[int], dg: list[int], z: tuple, modulus: int) -> tuple:
+    """One Newton step z - g(z) / g'(z) mod modulus.  The conjugate of
+    x + y theta is x + y c - y theta; their product is x^2 + x y c - y^2 e."""
+    a, b, c, e = z
+    (gu, gv), (du, dv) = _ring_eval(g, z, modulus), _ring_eval(dg, z, modulus)
+    cu, inv = du + dv * c, pow(du * du + du * dv * c - dv * dv * e, -1, modulus)
+    return ((a - (gu * cu - gv * dv * e) * inv) % modulus,
+            (b - (gv * cu - gu * dv - gv * dv * c) * inv) % modulus, c, e)
+
+
+def _padic_factors(f: list[int], max_degree: int) -> list[list[int]]:
+    """The irreducible rational factors of degree <= max_degree (1 or 2)
+    of a square-free primitive integer polynomial f, made primitive.
+
+    p-adic search (Loos 1983; Cantor and Zassenhaus 1981) that factors no
+    integer and uses no float.  With n = deg f and L = lc(f), f's factors
+    are those of the monic g(y) = L^(n-1) f(y/L).  At the smallest odd
+    prime p with g mod p square-free, gcd(g, y^p - y) holds the linear
+    factors of g mod p and gcd(g, y^(p^2) - y) over it the irreducible
+    quadratics, which Cantor-Zassenhaus splits.  Newton lifts each root
+    to Z/M and each quadratic's root theta to (Z/M)[theta]/(theta^2 -
+    c theta - e), for M = p^(2^j) > 2 max_degree rho^max_degree with rho
+    a power-of-two Fujiwara bound on g's roots.  The candidates are the
+    symmetric residues of each lifted root, of trace and norm of each
+    lifted theta (its conjugate is c - theta), and of sum and product of
+    each pair of irrational lifted roots; each is kept when it divides f.
+
+    Complete: a monic integer factor h of g of degree k <= 2 stays
+    square-free mod p, so mod p it is one linear or irreducible quadratic
+    factor, or two linear ones.  Its roots are the unique lifts of their
+    residues, and its coefficients, at most rho, 2 rho and rho^2, lie
+    below M/2, so they are the symmetric residues of a candidate.
+    """
+    n, lead = len(f) - 1, f[-1]
+    if n < 1:
+        return []
+    g = [c * lead ** (n - 1 - k) for k, c in enumerate(f[:-1])] + [1]
+    dg = _derivative(g)
+    # a failing prime divides disc(g), which for a square-free g is a
+    # nonzero integer of at most n^n |g|_2^(2n-2) (Mahler), so of fewer
+    # distinct prime factors than this bound has bits; more raise
+    failures = n * n.bit_length() + (n - 1) * sum(c * c for c in g).bit_length()
+    p = 2
+    while True:
+        p = next(q for q in count(p + 1) if all(q % d for d in range(2, isqrt(q) + 1)))
+        if _coprime_mod(g, dg, p):
+            break
+        failures -= 1
+        if failures < 0:
+            raise InvariantViolation(
+                f"no prime separates the roots of {g}: the square-free step left a repeat")
+    # |root| <= 2 max_k |g_(n-k)|^(1/k) (Fujiwara), rounded up to rho = 2^j
+    rho = 2 << max(-(-abs(c).bit_length() // (n - k)) for k, c in enumerate(g[:-1]))
+    modp = [c % p for c in g]
+
+    def minus_x(h: list[int]) -> list[int]:
+        h = h + [0] * (2 - len(h))
+        h[1] = (h[1] - 1) % p
+        return _trim(h)
+
+    frobenius = _pow_mod([0, 1], p, modp, p)
+    linear = _gcd_mod(modp, minus_x(frobenius), p)
+    lifts = [(-r % p, 0, 0, 0) for r, _ in _split_mod(linear, 1, p)]
+    if max_degree > 1:
+        both = _gcd_mod(modp, minus_x(_pow_mod(frobenius, p, modp, p)), p)
+        quadratics = _split_mod(_divmod_mod(both, linear, p)[0], 2, p)
+        lifts += [(0, 1, -c1 % p, -c0 % p) for c0, c1, _ in quadratics]
+    modulus = p
+    while modulus <= 2 * max_degree * rho**max_degree:
+        modulus *= modulus
+        lifts = [_newton(g, dg, z, modulus) for z in lifts]
+
+    def residue(v: int) -> int:
+        v %= modulus
+        return v - modulus if 2 * v > modulus else v
+
+    found, irrational = [], []
+    for a, b, c, e in lifts:
+        if b:
+            continue
+        y = residue(a)
+        factor = _primitive([-y, lead])
+        if abs(y) <= rho and _int_quotient(f, factor) is not None:
+            found.append(factor)
+        else:
+            irrational.append(a)
+    if max_degree > 1:
+        pairs = [(r + s, r * s) for r, s in combinations(irrational, 2)]
+        pairs += [(2 * a + b * c, a * a + a * b * c - b * b * e) for a, b, c, e in lifts if b]
+        for trace, norm in pairs:
+            trace, norm = residue(trace), residue(norm)
+            factor = _primitive([norm, -trace * lead, lead * lead])
+            if (abs(trace) <= 2 * rho and abs(norm) <= rho * rho
+                    and _int_quotient(f, factor) is not None):
+                found.append(factor)
+    return found
 
 
 def rational_roots(poly: CentralPoly) -> list[Fraction]:
-    """All rational roots of a nonzero rational polynomial, sorted.
-
-    p-adic rational-zero algorithm (Loos 1983); no integer is factored.
-    After stripping powers of x, let f be the primitive integer form of
-    the square-free part, of degree n with leading coefficient L.  Its
-    rational roots are y/L for the integer roots y of the monic
-    g(y) = L^(n-1) f(y/L), and each such y divides g(0) != 0.  At the
-    smallest prime p > n where every root of g mod p is simple (only the
-    primes dividing the discriminant of the square-free g fail, so more
-    failures than that discriminant can have prime factors raise
-    :class:`InvariantViolation`), Newton's
-    iteration lifts each root mod p to a modulus M = p^(2^k) > 2|g(0)|;
-    the symmetric residue y is kept when y/L is a root of the input,
-    confirmed by exact evaluation.
-
-    Complete: an integer root y of g is a simple root mod p, whose lift
-    to each power of p is unique, and |y| <= |g(0)| < M/2, so y is the
-    symmetric residue of one lift.
-    """
+    """All rational roots of a nonzero rational polynomial, sorted: the
+    linear factors of its square-free part (see ``_padic_factors``)."""
     if poly.is_zero:
         raise PreconditionError("every rational is a root of the zero polynomial")
-    coeffs = list(poly.coeffs)
-    roots: set[Fraction] = set()
-    while coeffs[0] == 0:
-        roots.add(Fraction(0))
-        coeffs.pop(0)
-    if len(coeffs) > 1:
-        f = _int_squarefree(_primitive(_to_ints(coeffs)[0]))
-        n, lead = len(f) - 1, f[-1]
-        g = [c * lead ** (n - 1 - k) for k, c in enumerate(f[:-1])] + [1]
-        dg = [k * c for k, c in enumerate(g)][1:]
-        # a failing prime divides disc(g), which for a square-free g is a
-        # nonzero integer of at most n^n |g|_2^(2n-2) (Mahler), so of
-        # fewer distinct prime factors than this bound has bits
-        failures = n * n.bit_length() + (n - 1) * sum(c * c for c in g).bit_length()
-        p = n
-        while True:
-            p = next(q for q in count(p + 1) if all(q % d for d in range(2, isqrt(q) + 1)))
-            lifts = [r for r in range(p) if _eval_mod(g, r, p) == 0]
-            if all(_eval_mod(dg, r, p) for r in lifts):
-                break
-            failures -= 1
-            if failures < 0:
-                raise InvariantViolation(
-                    f"no prime separates the roots of {g}: the square-free step left a repeat")
-        modulus = p
-        while modulus <= 2 * abs(g[0]):
-            modulus *= modulus
-            lifts = [(r - _eval_mod(g, r, modulus) * pow(_eval_mod(dg, r, modulus), -1, modulus))
-                     % modulus for r in lifts]
-        for r in lifts:
-            cand = Fraction(r - modulus if 2 * r > modulus else r, lead)
-            if poly.evaluate(cand) == 0:
-                roots.add(cand)
-    return sorted(roots)
+    f = _int_squarefree(_primitive(_to_ints(poly.coeffs)[0]))
+    return sorted(Fraction(-c0, c1) for c0, c1 in _padic_factors(f, 1))
 
 
 def roots_in_center(poly: QPoly) -> list[Fraction]:
@@ -273,7 +349,7 @@ def roots_in_center(poly: QPoly) -> list[Fraction]:
 
 
 def _central_roots(structure: _Structure) -> list[Fraction]:
-    found = rational_roots(structure.central)
+    found = sorted(Fraction(-f[0], f[1]) for f in structure.central_factors if len(f) == 2)
     for root in found:
         # each coordinate vanishes at the root: x - root divides its row
         linear = [-root.numerator, root.denominator]

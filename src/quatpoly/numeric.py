@@ -12,9 +12,9 @@ tests compare a residual against eps_zero times the evaluation scale,
 and a failed test raises :class:`NumericFailure` rather than guessing.
 
 ``agree_with_exact`` runs both backends on one rational polynomial and
-reconciles the reports; numeric-only classes whose rationalization
-fails exact certification (irrational invariants, or denominators
-beyond the bound) are flagged rather than counted as disagreement.
+reconciles the reports; the exact report holds every class with
+rational invariants, so numeric-only classes are irrational and are
+flagged rather than counted as disagreement.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ._realroots import real_poly_roots
-from .algebra import HAMILTON, Quaternion, is_rational_square
+from .algebra import HAMILTON, Quaternion
 from .decompose import _Structure
 from .errors import NumericFailure, PreconditionError
-from .polynomials import CentralPoly, QPoly
-from .roots import IsolatedRoot, RootReport, SphericalRoots, _rationalize, classify
+from .polynomials import QPoly
+from .roots import IsolatedRoot, RootReport, SphericalRoots, classify
 
 Quat = tuple[float, float, float, float]  # (w, x, y, z): a quaternion inside the backend
 
@@ -394,13 +394,11 @@ def classify_f64(poly: PolyLike, settings: NumericSettings | None = None) -> Roo
 class AgreementReport:
     """Reconciliation of exact and numeric classifications of one P.
 
-    ``mismatches`` are hard contradictions (an exact entry missing or
-    differently categorized numerically, or a numeric entry that
-    certifies exactly but was absent from the exact report).
-    ``flagged`` collects numeric-only entries that fail exact
-    certification at their rationalized invariants; these mark
-    genuinely irrational classes or near-degenerate inputs and are
-    reported, never silently dropped.
+    ``mismatches`` are hard contradictions: an exact entry missing or
+    differently categorized numerically.  ``flagged`` collects
+    numeric-only entries; the exact report is complete for rational
+    invariants, so these are irrational classes and central roots, and
+    are reported, never silently dropped.
     """
 
     agreed: bool
@@ -418,10 +416,9 @@ def agree_with_exact(
 
     Every exact central root and class entry must reappear numerically
     with invariants within eps_class and the same status category.
-    Leftover numeric entries are rationalized and re-certified: success
-    means the exact side missed a class (a mismatch); failure means the
-    class is not exactly certifiable at desk-scale denominators and is
-    flagged as a near-<category> entry.
+    Leftover numeric entries are flagged as near-<category> entries:
+    the exact report holds every class with rational invariants, so
+    theirs are irrational.
     """
     if poly.algebra != HAMILTON:
         raise PreconditionError(
@@ -433,19 +430,13 @@ def agree_with_exact(
     numeric_report = classify_f64(poly, st)
     matched: list[str] = []
     mismatches: list[str] = []
-    flagged: list[str] = []
+
+    def close(value: float, target: Fraction) -> bool:
+        return abs(value - float(target)) <= st.eps_class * (1 + abs(float(target)))
 
     leftovers_central = list(numeric_report.central_roots)
     for root in exact_report.central_roots:
-        target = float(root)
-        hit = next(
-            (
-                v
-                for v in leftovers_central
-                if abs(v - target) <= st.eps_class * (1 + abs(target))
-            ),
-            None,
-        )
+        hit = next((v for v in leftovers_central if close(v, root)), None)
         if hit is None:
             mismatches.append(f"exact central root {root} missing numerically")
         else:
@@ -454,67 +445,24 @@ def agree_with_exact(
 
     leftovers = list(numeric_report.class_entries)
     for cls, status in exact_report.class_entries:
-        t, n = float(cls.trace), float(cls.norm)
-        hit = next(
-            (
-                pair
-                for pair in leftovers
-                if abs(pair[0].trace - t) <= st.eps_class * (1 + abs(t))
-                and abs(pair[0].norm - n) <= st.eps_class * (1 + abs(n))
-            ),
-            None,
-        )
         kind = status.kind
+        hit = next((pair for pair in leftovers
+                    if close(pair[0].trace, cls.trace) and close(pair[0].norm, cls.norm)), None)
         if hit is None:
             mismatches.append(f"exact {kind} class {cls} missing numerically")
             continue
         leftovers.remove(hit)
-        numeric_kind = hit[1].kind
-        if numeric_kind == kind:
-            matched.append(
-                f"{kind} class {cls} ~ ({hit[0].trace:.12g}, {hit[0].norm:.12g})"
-            )
+        if hit[1].kind == kind:
+            matched.append(f"{kind} class {cls} ~ ({hit[0].trace:.12g}, {hit[0].norm:.12g})")
         else:
-            mismatches.append(
-                f"class {cls}: exact says {kind}, numeric says {numeric_kind}"
-            )
+            mismatches.append(f"class {cls}: exact says {kind}, numeric says {hit[1].kind}")
 
-    comp = poly.companion()
-    for value in leftovers_central:
-        r = _rationalize(value, 10**6, st.eps_class)
-        certified = (
-            r is not None
-            and CentralPoly((-r, 1)).divides(comp)
-            and poly.evaluate(poly.algebra.scalar(r)).is_zero
-        )
-        if certified:
-            mismatches.append(
-                f"numeric central root {value:.12g} certifies exactly as {r} "
-                "but was absent from the exact report"
-            )
-        else:
-            flagged.append(
-                f"near-central numeric root {value:.12g} is not exactly "
-                "certifiable at rationalized invariants"
-            )
-    for cls, status in leftovers:
-        kind = status.kind
-        rt, rn = (_rationalize(v, 10**6, st.eps_class) for v in (cls.trace, cls.norm))
-        certified = (
-            rt is not None and rn is not None
-            and not is_rational_square(rt**2 - 4 * rn)
-            and CentralPoly((rn, -rt, 1)).divides(comp)
-        )
-        if certified:
-            mismatches.append(
-                f"numeric {kind} class ({cls.trace:.12g}, {cls.norm:.12g}) certifies "
-                f"exactly as ({rt}, {rn}) but was absent from the exact report"
-            )
-        else:
-            flagged.append(
-                f"near-{kind} numeric class ({cls.trace:.12g}, {cls.norm:.12g}) "
-                "is not exactly certifiable at rationalized invariants"
-            )
+    # the exact report holds every rational class, so what is left over
+    # numerically has irrational invariants
+    flagged = [f"near-central numeric root {value:.12g} is irrational"
+               for value in leftovers_central]
+    flagged += [f"near-{status.kind} numeric class ({cls.trace:.12g}, {cls.norm:.12g}) "
+                "has irrational invariants" for cls, status in leftovers]
 
     return AgreementReport(
         agreed=not mismatches,

@@ -27,7 +27,7 @@ from .algebra import (
     SphereClass,
     rational,
 )
-from .errors import PreconditionError
+from .errors import InvariantViolation, PreconditionError
 
 #: Degree of the zero polynomial; compares below every integer degree.
 MINUS_INFINITY = float("-inf")
@@ -735,16 +735,38 @@ def _int_gcd(polys: Iterable[list[int]]) -> list[int]:
     return g
 
 
-#: The prime of the square-free certificate, 2^61 - 1.  Any prime is
-#: sound.  One this large divides no leading coefficient of ordinary
-#: size and fails on a square-free input only when it divides the
-#: discriminant, while products of two residues stay below 2^122.
-_CERT_PRIME = (1 << 61) - 1
+#: The prime of the modular certificates, the largest below 2^30.  Any
+#: prime is sound.  One this large divides no leading coefficient of
+#: ordinary size and fails on a square-free input only when it divides
+#: the discriminant, while a residue fits one 30-bit digit of a Python
+#: int and a product of two fits two.
+_CERT_PRIME = 1073741789
 
 
 def _coprime_mod(f: Sequence[int], g: Sequence[int], p: int) -> bool:
     """Whether gcd(f mod p, g mod p) is constant; f's leading
     coefficient must be a unit mod p."""
+    return len(_gcd_mod(f, g, p)) == 1
+
+
+# Polynomials mod a prime p are lists of residues in [0, p), trimmed.
+
+
+def _divmod_mod(a: Sequence[int], f: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic f, mod p."""
+    rem, d = list(a), len(f) - 1
+    quot = [0] * max(0, len(rem) - d)
+    for shift in range(len(quot) - 1, -1, -1):
+        # entries are reduced only when they reach the top
+        t = quot[shift] = rem.pop() % p
+        if t:
+            rem[shift:] = [c - t * e for c, e in zip(rem[shift:], f)]
+    return quot, _trim([c % p for c in rem])
+
+
+def _gcd_mod(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
+    """Monic gcd of f mod p and g mod p; f's leading coefficient must be
+    a unit mod p."""
     a, b = [c % p for c in f], _trim([c % p for c in g])
     while b:
         inv, db = pow(b[-1], -1, p), len(b) - 1
@@ -754,7 +776,41 @@ def _coprime_mod(f: Sequence[int], g: Sequence[int], p: int) -> bool:
                 off = len(a) - db
                 a[off:] = [(c - t * d) % p for c, d in zip(a[off:], b)]
         a, b = b, _trim(a)
-    return len(a) == 1
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _pow_mod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
+    """a^e modulo the monic f and p, by square-and-multiply."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _divmod_mod(_int_mul(out, out), f, p)[1]
+        if bit == "1":
+            out = _divmod_mod(_int_mul(out, a), f, p)[1]
+    return out
+
+
+def _split_mod(f: list[int], k: int, p: int, start: int = 0) -> list[list[int]]:
+    """The monic irreducible factors mod the odd prime p of the monic f,
+    a product of distinct irreducibles of degree k = 1 or 2.
+
+    Cantor-Zassenhaus: a factor with root z divides (x + c)^((p^k - 1)/2) - 1
+    when z + c is a nonzero square in F(p^k), for k = 2 both roots alike
+    (the value is the Legendre symbol of the norm).  Some c in F_p
+    separates any two factors (a character sum for k = 1; for k = 2 the
+    Weil bound when p > 9, a direct check for p = 3, 5, 7).  The parts
+    of a split go on from the next c.
+    """
+    if len(f) - 1 <= k:
+        return [f] if len(f) > 1 else []
+    for c in range(start, start + p):
+        h = _pow_mod([c % p, 1], (p**k - 1) // 2, f, p) or [0]
+        h[0] = (h[0] - 1) % p
+        d = _gcd_mod(f, h, p)
+        if 1 < len(d) < len(f):
+            return (_split_mod(d, k, p, c + 1)
+                    + _split_mod(_divmod_mod(f, d, p)[0], k, p, c + 1))
+    raise InvariantViolation(f"no x + c splits {f} modulo {p}")
 
 
 def _int_squarefree(f: list[int]) -> list[int]:
@@ -769,10 +825,6 @@ def _int_squarefree(f: list[int]) -> list[int]:
     """
     if f[-1] % _CERT_PRIME and _coprime_mod(f, _derivative(f), _CERT_PRIME):
         return f
-    return _squarefree_prs(f)
-
-
-def _squarefree_prs(f: list[int]) -> list[int]:
     common = _int_gcd([f, _derivative(f)])
     return f if len(common) == 1 else _int_quotient(f, common)
 

@@ -6,10 +6,11 @@ pair (alpha, beta) decides everything: both zero means the whole class
 consists of roots (a *spherical* class), alpha = 0 with beta nonzero
 means no root in the class, and invertible alpha pins down the unique
 candidate -alpha^{-1} beta (an *isolated* root if it lands in the
-class).  Since roots can only live in classes whose minimal polynomial
-divides the central companion polynomial P * conj(P), the candidate
-classes are recovered from numeric companion roots, rationalized, and
-verified exactly; classification is then exact arithmetic.
+class).  The candidate classes come from Beck's split P = c * G * H:
+the rational quadratic factors of sqfree(H) are the spherical classes,
+and those of sqfree(N(G)) / gcd(., sqfree(H)) the classes holding one
+root each.  A p-adic factor search finds them, so classification is
+complete and exact, and uses no floats.
 
 One counting fact is asserted on every report: central roots plus
 isolated roots plus twice the spherical classes number at most deg P
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import ClassVar, Optional, Union
 
 from . import _linalg
-from ._realroots import pair_and_cluster, real_poly_roots
+from ._realroots import pair_and_cluster  # noqa: F401  (wrapped by bench/tracing.py)
 from .algebra import (
     HAMILTON,
     CentralClass,
@@ -36,7 +37,6 @@ from .algebra import (
     commutes,
     conjugacy_class,
     distinct_conjugates,
-    is_rational_square,
     rational_sqrt,
 )
 from .decompose import _central_roots, _Structure
@@ -195,66 +195,31 @@ def _class_status(structure: _Structure, cls: SphereClass) -> ClassStatus:
 # -- candidate generation ----------------------------------------------------
 
 
-#: Defaults of the candidate search: denominator bound, rationalization
-#: tolerance and eigenvalue clustering tolerance.
-_MAX_DENOMINATOR, _TOLERANCE, _CLUSTER_TOL = 10**6, 1e-8, 1e-6
+def _quadratic_classes(structure: _Structure) -> list[tuple[SphereClass, bool]]:
+    """(class, spherical) for each rational quadratic factor x^2 - t x + n
+    of sqfree(H), spherical, and of the isolated part, holding one root;
+    sorted by (t, n).  Over a definite algebra (a, b < 0) every non-central
+    element has t^2 < 4n, so a factor with real roots names no class."""
+    def sphere(f: list[int]) -> SphereClass:
+        return SphereClass(Fraction(-f[1], f[2]), Fraction(f[0], f[2]))
+
+    definite = structure.poly.algebra.is_definitely_division
+    found = [(sphere(f), True) for f in structure.central_factors
+             if len(f) == 3 and not (definite and f[1] ** 2 > 4 * f[0] * f[2])]
+    found += [(sphere(f), False) for f in structure.isolated_factors if len(f) == 3]
+    return sorted(found, key=lambda entry: (entry[0].trace, entry[0].norm))
 
 
-def candidate_classes(
-    poly: QPoly,
-    max_denominator: int = _MAX_DENOMINATOR,
-    tolerance: float = _TOLERANCE,
-    cluster_tol: float = _CLUSTER_TOL,
-) -> list[ConjClass]:
-    """A finite, exactly certified superset of the classes holding roots.
-
-    Complex roots of the companion's square-free part are computed
-    numerically (repeated companion factors are divided out exactly
-    first, so the eigensolve never faces a multiple root), grouped into
-    real values and conjugate pairs (t, n) = (2 Re z, |z|^2),
-    rationalized by continued fractions with the given denominator
-    bound, and kept only if the corresponding minimal polynomial
-    divides the companion exactly.  Root classes whose trace or norm is
-    irrational (or has denominator beyond the bound) are invisible to
-    rational-coordinate elements and are dropped by the certification
-    step.
-    """
+def candidate_classes(poly: QPoly) -> list[ConjClass]:
+    """Every class that can hold a root of P, exactly: the central roots,
+    then in classify's order the classes of the rational quadratic
+    factors of sqfree(H) and of sqfree(N(G)) / gcd(., sqfree(H)) for
+    P = c * G * H, found by p-adic factor search."""
     if poly.is_zero:
         raise PreconditionError("the zero polynomial has roots everywhere")
     structure = _Structure(poly)
-    reals, spheres = _candidates(structure, max_denominator, tolerance, cluster_tol)
-    values = {_rationalize(value, max_denominator, tolerance) for value in reals} - {None}
-    central = [CentralClass(r) for r in sorted(values)
-               if _int_quotient(structure.companion, [-r.numerator, r.denominator]) is not None]
-    return central + spheres
-
-
-def _candidates(structure: _Structure, max_denominator: int = _MAX_DENOMINATOR,
-                tolerance: float = _TOLERANCE, cluster_tol: float = _CLUSTER_TOL,
-                ) -> tuple[list[float], list[SphereClass]]:
-    """(reals, spheres): the clustered real roots of the companion's
-    square-free part, computed numerically, and the sphere classes of its
-    conjugate pairs whose quadratic divides the companion exactly, sorted."""
-    if len(structure.companion) <= 1:
-        return [], []
-    reduced = structure.companion_squarefree
-    roots = real_poly_roots([c / reduced[-1] for c in reduced])
-    reals, pairs = pair_and_cluster(roots, cluster_tol)
-    found: set[tuple[Fraction, Fraction]] = set()
-    for t, n in pairs:
-        rt, rn = (_rationalize(v, max_denominator, tolerance) for v in (t, n))
-        if rt is None or rn is None or is_rational_square(rt**2 - 4 * rn):
-            continue
-        if _int_quotient(structure.companion, _quadratic(rt, rn)) is not None:
-            found.add((rt, rn))
-    return reals, [SphereClass(rt, rn) for rt, rn in sorted(found)]
-
-
-def _rationalize(value: float, max_denominator: int, tolerance: float) -> Optional[Fraction]:
-    """The continued-fraction rational near ``value``, or None when it
-    sits farther than the relative tolerance."""
-    r = Fraction(value).limit_denominator(max_denominator)
-    return r if abs(float(r) - value) <= tolerance * (1.0 + abs(value)) else None
+    return ([CentralClass(r) for r in _central_roots(structure)]
+            + [cls for cls, _ in _quadratic_classes(structure)])
 
 
 def _sphere_witness(poly: QPoly, cls: SphereClass) -> Optional[Quaternion]:
@@ -278,23 +243,22 @@ def _sphere_witness(poly: QPoly, cls: SphereClass) -> Optional[Quaternion]:
 def classify(poly: QPoly) -> RootReport:
     """Exact classification of all roots of P by conjugacy class.
 
-    Central (rational) roots come from the maximal central right
-    divisor, which is complete; non-central classes come from certified
-    companion candidates, each settled by its linear remainder.  All
-    stages share one integer structure of P.  The count bound and the
-    divisibility of P by the product of spherical class quadratics are
-    asserted before returning.
+    On the Beck split P = c * G * H, the rational roots of H are the
+    central roots, the rational quadratic factors of sqfree(H) the
+    spherical classes, and each rational quadratic factor of the
+    isolated part a class settled by its linear remainder.  The factors
+    come from a p-adic search, so the report is complete and uses no
+    floats.  All stages share one integer structure of P.  The count
+    bound, the divisibility of P by the product of spherical class
+    quadratics and every isolated root are checked before returning.
     """
     if poly.is_zero or poly.degree < 1:
-        raise PreconditionError(
-            "classification needs a polynomial of degree at least 1"
-        )
-    degree = poly.degree
+        raise PreconditionError("classification needs a polynomial of degree at least 1")
     structure = _Structure(poly)
-    central = _central_roots(structure)
     entries: list[tuple[ConjClass, ClassStatus]] = []
-    for cand in _candidates(structure)[1]:
-        status = _class_status(structure, cand)
+    for cand, spherical in _quadratic_classes(structure):
+        # a factor of H right-divides P, so its class has no remainder
+        status = SphericalRoots() if spherical else _class_status(structure, cand)
         cls: ConjClass = cand
         if isinstance(status, IsolatedRoot):
             cls = conjugacy_class(status.representative)
@@ -308,12 +272,8 @@ def classify(poly: QPoly) -> RootReport:
                     )
                 cls = witnessed
         entries.append((cls, status))
-    report = RootReport(
-        degree=degree,
-        central_roots=tuple(central),
-        class_entries=tuple(entries),
-        candidate_source="exact",
-    )
+    report = RootReport(degree=poly.degree, central_roots=tuple(_central_roots(structure)),
+                        class_entries=tuple(entries), candidate_source="exact")
     _check_report(structure, report)
     return report
 
@@ -334,7 +294,7 @@ def _check_report(structure: _Structure, report: RootReport):
             "product of spherical class quadratics does not right-divide P"
         )
     for root in report.isolated_roots:
-        if not structure.poly.evaluate(root).is_zero:
+        if not structure.evaluate(root).is_zero:
             raise InvariantViolation(f"isolated root {root} fails evaluation")
 
 

@@ -291,13 +291,15 @@ class TestAgreement:
         assert all("near-spherical" in f for f in agreement.flagged)
 
     def test_tiny_perturbation_stays_agreed(self):
-        # the exact backend sees no certifiable classes at denominator
-        # 1e12, the numeric backend sees an almost-(0,1) sphere
+        # the exact backend finds the sphere (-1e-12, 1) by p-adic factor
+        # search, and the numeric backend places it within eps_class
         text = "x^2 + 1/1000000000000 x + 1"
         agreement = agree_with_exact(parse_to_qpoly(text))
         assert agreement.agreed
-        assert agreement.exact_report.class_entries == ()
-        assert len(agreement.flagged) == 1
+        ((cls, status),) = agreement.exact_report.class_entries
+        assert (cls.trace, cls.norm) == (Fraction(-1, 10**12), 1)
+        assert isinstance(status, SphericalRoots)
+        assert agreement.flagged == ()
 
     def test_non_hamilton_rejected(self):
         from quatpoly import AlgebraParams
