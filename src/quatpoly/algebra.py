@@ -20,7 +20,7 @@ rounds.  Floats are rejected on input rather than silently converted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Union
@@ -46,16 +46,12 @@ def rational(value: _RationalLike) -> Fraction:
 
 def is_rational_square(value: Fraction) -> bool:
     """True if ``value`` is the square of a rational number."""
-    value = Fraction(value)
-    if value < 0:
-        return False
-    num, den = value.numerator, value.denominator
-    return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
+    return rational_sqrt(value) is not None
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:
     """The nonnegative rational square root, or None if there is none."""
-    value = Fraction(value)
+    value = rational(value)
     if value < 0:
         return None
     num, den = value.numerator, value.denominator
@@ -63,6 +59,21 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
+
+
+def _int_qmul(algebra: AlgebraParams, p, q) -> list[int]:
+    """ad*bd times the product of integer 4-vectors, (a, b) = (an/ad, bn/bd)."""
+    (s, e1, e2, e3), (w1, x1, y1, z1), (w2, x2, y2, z2) = algebra._norm_weights, p, q
+    return [s * w1 * w2 - e1 * x1 * x2 - e2 * y1 * y2 - e3 * z1 * z2,
+            s * (w1 * x2 + x1 * w2) + e2 * (y1 * z2 - z1 * y2),
+            s * (w1 * y2 + y1 * w2) - e1 * (x1 * z2 - z1 * x2),
+            s * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2)]
+
+
+def _int_qform(algebra: AlgebraParams, p, q) -> int:
+    """ad*bd times the bilinear form of the norm N(p) = <p, p> at integer 4-vectors."""
+    s, e1, e2, e3 = algebra._norm_weights
+    return s * p[0] * q[0] + e1 * p[1] * q[1] + e2 * p[2] * q[2] + e3 * p[3] * q[3]
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,9 @@ class AlgebraParams:
         object.__setattr__(self, "b", rational(self.b))
         if self.a == 0 or self.b == 0:
             raise PreconditionError("structure constants a, b must be nonzero")
+        # ad*bd times the norms 1, -a, -b, ab of 1, i, j, k, for (a, b) = (an/ad, bn/bd)
+        an, ad, bn, bd = self.a.numerator, self.a.denominator, self.b.numerator, self.b.denominator
+        object.__setattr__(self, "_norm_weights", (ad * bd, -an * bd, -ad * bn, an * bn))
 
     @property
     def is_definitely_division(self) -> bool:
@@ -174,28 +188,19 @@ class Quaternion:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        # integer numerators over one denominator per factor, and
-        # (a, b) = (an/ad, bn/bd); the product scaled by ad*bd is integral
-        a, b = self.algebra.a, self.algebra.b
-        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-        d1, w1, x1, y1, z1 = self._numerators()
-        d2, w2, x2, y2, z2 = q._numerators()
-        s = ad * bd
-        den = s * d1 * d2
-        return Quaternion(
-            self.algebra,
-            Fraction(s * w1 * w2 + an * bd * x1 * x2 + ad * bn * y1 * y2 - an * bn * z1 * z2, den),
-            Fraction(s * (w1 * x2 + x1 * w2) - ad * bn * (y1 * z2 - z1 * y2), den),
-            Fraction(s * (w1 * y2 + y1 * w2) + an * bd * (x1 * z2 - z1 * x2), den),
-            Fraction(s * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2), den),
-        )
+        # integer numerators over one denominator per factor
+        alg, (d1, p1), (d2, p2) = self.algebra, self._numerators(), q._numerators()
+        den = alg._norm_weights[0] * d1 * d2
+        w, x, y, z = _int_qmul(alg, p1, p2)
+        return Quaternion(alg, Fraction(w, den), Fraction(x, den), Fraction(y, den),
+                          Fraction(z, den))
 
-    def _numerators(self) -> tuple[int, int, int, int, int]:
+    def _numerators(self) -> tuple[int, tuple[int, int, int, int]]:
         """The least common denominator d and the coordinates times d."""
         w, x, y, z = self.w, self.x, self.y, self.z
         d = lcm(w.denominator, x.denominator, y.denominator, z.denominator)
-        return (d, w.numerator * (d // w.denominator), x.numerator * (d // x.denominator),
-                y.numerator * (d // y.denominator), z.numerator * (d // z.denominator))
+        return d, (w.numerator * (d // w.denominator), x.numerator * (d // x.denominator),
+                   y.numerator * (d // y.denominator), z.numerator * (d // z.denominator))
 
     def __rmul__(self, other):
         q = self._coerce(other)
@@ -229,8 +234,8 @@ class Quaternion:
         return Quaternion(self.algebra, self.w, -self.x, -self.y, -self.z)
 
     def norm(self) -> Fraction:
-        a, b = self.algebra.a, self.algebra.b
-        return self.w**2 - a * self.x**2 - b * self.y**2 + a * b * self.z**2
+        d, p = self._numerators()
+        return Fraction(_int_qform(self.algebra, p, p), self.algebra._norm_weights[0] * d * d)
 
     def trace(self) -> Fraction:
         return 2 * self.w
@@ -318,15 +323,11 @@ class SphereClass:
 
     Elements q with trace t and norm n share the minimal polynomial
     x^2 - t*x + n, which must be irreducible over the rationals, i.e.
-    t^2 - 4n must not be a rational square.  ``validated`` records
-    whether the class was produced from a witness element of a concrete
-    algebra (some (t, n) pairs are not realized by rational-coordinate
-    elements); it is metadata and does not take part in equality.
+    t^2 - 4n must not be a rational square.
     """
 
     trace: Fraction
     norm: Fraction
-    validated: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "trace", rational(self.trace))
@@ -358,7 +359,7 @@ def conjugacy_class(q: Quaternion) -> ConjClass:
             f"{q} is non-central but x^2 - {t}x + {n} splits; "
             f"(a, b) = ({q.algebra.a}, {q.algebra.b}) is a split algebra"
         )
-    return SphereClass(t, n, validated=True)
+    return SphereClass(t, n)
 
 
 def same_class(p: Quaternion, q: Quaternion) -> bool:

@@ -27,7 +27,7 @@ from itertools import combinations, count
 from math import isqrt, lcm
 
 from . import _linalg
-from .algebra import AlgebraParams, Quaternion, commutes
+from .algebra import AlgebraParams, Quaternion, _int_qmul, commutes
 from .errors import InvariantViolation, PreconditionError
 from .polynomials import (
     _CERT_PRIME, CentralPoly, QPoly, _central_from_ints, _coprime_mod, _derivative, _divmod_mod,
@@ -128,7 +128,8 @@ class _Structure:
             raise InvariantViolation(
                 f"coordinate gcd {_monic_from_ints(central)} does not right-divide the polynomial"
             )
-        if len(_int_gcd(quotients)) != 1:
+        # for constant H the quotients are the rows, whose gcd was just found to be 1
+        if len(central) > 1 and len(_int_gcd(quotients)) != 1:
             raise InvariantViolation(
                 f"P / ({_monic_from_ints(central)}) still has a central right divisor"
             )
@@ -179,9 +180,9 @@ class _Structure:
         by Horner's rule in Z[u]/(u^2 - s) on the rows padded to length n.
         """
         alg, pure = self.poly.algebra, q.pure()
-        scale = lcm(*[c.denominator for c in q.coords()])
-        scale *= (scale * scale * pure.norm()).denominator
-        w, s = int(q.w * scale), int(-pure.norm() * scale * scale)
+        scale, pure_norm = lcm(*[c.denominator for c in q.coords()]), pure.norm()
+        scale *= (scale * scale * pure_norm).denominator
+        w, s = int(q.w * scale), int(-pure_norm * scale * scale)
         n = max(map(len, self.rows))
         alphas, betas = [], []
         for row in self.rows:
@@ -192,9 +193,11 @@ class _Structure:
                 power *= scale
             alphas.append(a)
             betas.append(b)
-        u = alg.quat(0, *(c * scale for c in pure.coords()[1:]))
-        value = alg.quat(*alphas) + alg.quat(*betas) * u
-        return value * Fraction(1, self.den * scale ** (n - 1))
+        # alpha + beta u in integers, times ad * bd for (a, b) = (an/ad, bn/bd)
+        u, ab_den = [0] + [int(c * scale) for c in pure.coords()[1:]], alg._norm_weights[0]
+        den = ab_den * self.den * scale ** (n - 1)
+        return alg.quat(*[Fraction(ab_den * a + c, den)
+                          for a, c in zip(alphas, _int_qmul(alg, betas, u))])
 
 
 def beck_decompose(poly: QPoly) -> BeckFactorization:

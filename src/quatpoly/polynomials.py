@@ -710,13 +710,11 @@ def _monic_from_ints(p: Sequence[int]) -> CentralPoly:
 def _int_norm_form(rows: Sequence[Sequence[int]], algebra: AlgebraParams) -> tuple[list[int], int]:
     """(total, scale) with total / (den^2 * scale) the companion of the
     polynomial whose coordinate rows are ``rows`` / den."""
-    a, b = algebra.a, algebra.b
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     total = [0] * max(0, 2 * max(map(len, rows)) - 1)
-    for weight, row in zip((ad * bd, -an * bd, -ad * bn, an * bn), rows):
+    for weight, row in zip(algebra._norm_weights, rows):
         for m, c in enumerate(_int_mul(row, row)):
             total[m] += weight * c
-    return _trim(total), ad * bd
+    return _trim(total), algebra._norm_weights[0]
 
 
 def _int_gcd(polys: Iterable[list[int]]) -> list[int]:

@@ -10,7 +10,8 @@ class).  The candidate classes come from Beck's split P = c * G * H:
 the rational quadratic factors of sqfree(H) are the spherical classes,
 and those of sqfree(N(G)) / gcd(., sqfree(H)) the classes holding one
 root each.  A p-adic factor search finds them, so classification is
-complete and exact, and uses no floats.
+complete and exact, and uses no floats.  Each class is then settled by
+two identities of the integer norm form, without Fraction arithmetic.
 
 One counting fact is asserted on every report: central roots plus
 isolated roots plus twice the spherical classes number at most deg P
@@ -24,12 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import ClassVar, Optional, Union
 
 from . import _linalg
 from ._realroots import pair_and_cluster  # noqa: F401  (wrapped by bench/tracing.py)
 from .algebra import (
     HAMILTON,
+    AlgebraParams,
     CentralClass,
     ConjClass,
     Quaternion,
@@ -38,6 +41,8 @@ from .algebra import (
     conjugacy_class,
     distinct_conjugates,
     rational_sqrt,
+    _int_qform,
+    _int_qmul,
 )
 from .decompose import _central_roots, _Structure
 from .errors import InvariantViolation, PreconditionError, ZeroDivisorError
@@ -146,68 +151,77 @@ class RootReport:
 # -- per-class decision ------------------------------------------------------
 
 
-def _quadratic(trace: Fraction, norm: Fraction) -> list[int]:
-    """x^2 - trace x + norm as a primitive integer polynomial."""
-    return _primitive(_to_ints([norm, -trace, Fraction(1)])[0])
-
-
-def class_remainder(poly: QPoly, cls: SphereClass) -> tuple[Quaternion, Quaternion]:
-    """The linear remainder (alpha, beta) of P modulo the class quadratic."""
-    return _class_remainder(_Structure(poly), cls)
-
-
-def _class_remainder(structure: _Structure, cls: SphereClass) -> tuple[Quaternion, Quaternion]:
+def _quadratic(cls: SphereClass) -> list[int]:
+    """The class quadratic x^2 - t x + n as a primitive integer polynomial."""
     if not isinstance(cls, SphereClass):
         raise PreconditionError(
             "class_remainder needs a non-central class; central candidates "
             "are settled by direct evaluation"
         )
+    return _primitive(_to_ints([cls.norm, -cls.trace, Fraction(1)])[0])
+
+
+def _quat(alg: AlgebraParams, coords: list[int], den: int) -> Quaternion:
+    return alg.quat(*[Fraction(c, den) for c in coords])
+
+
+def class_remainder(poly: QPoly, cls: SphereClass) -> tuple[Quaternion, Quaternion]:
+    """The linear remainder (alpha, beta) of P modulo the class quadratic."""
+    alpha, beta, den = _class_remainder(_Structure(poly), _quadratic(cls))
+    return _quat(poly.algebra, alpha, den), _quat(poly.algebra, beta, den)
+
+
+def _class_remainder(structure: _Structure, quadratic: list[int]) -> tuple[list, list, int]:
+    """(alpha, beta, den): the remainder's coordinates, integers over den."""
     # a central divisor acts on the four coordinates separately; the
-    # pseudo-remainder of row m is scale * row mod the quadratic
-    quadratic = _quadratic(cls.trace, cls.norm)
-    alpha, beta = [], []
-    for row in structure.rows:
-        _, rem, scale = _int_divmod(row, quadratic)
-        rem = rem + [0] * (2 - len(rem))
-        alpha.append(Fraction(rem[1], scale * structure.den))
-        beta.append(Fraction(rem[0], scale * structure.den))
-    alg = structure.poly.algebra
-    return alg.quat(*alpha), alg.quat(*beta)
+    # pseudo-remainder of row m is scale_m * row mod the quadratic
+    rems = [_int_divmod(row, quadratic)[1:] for row in structure.rows]
+    common = lcm(*[scale for _, scale in rems])
+    rems = [[c * (common // scale) for c in rem] + [0] * (2 - len(rem)) for rem, scale in rems]
+    return [rem[1] for rem in rems], [rem[0] for rem in rems], common * structure.den
 
 
 def class_status(poly: QPoly, cls: SphereClass) -> ClassStatus:
     """Decide spherical / isolated / no-root for one conjugacy class."""
-    return _class_status(_Structure(poly), cls)
+    return _class_status(_Structure(poly), _quadratic(cls))
 
 
-def _class_status(structure: _Structure, cls: SphereClass) -> ClassStatus:
-    alpha, beta = _class_remainder(structure, cls)
-    if alpha.is_zero and beta.is_zero:
+def _class_status(structure: _Structure, quadratic: list[int]) -> ClassStatus:
+    """In the class of L x^2 - T x + N the candidate -alpha^-1 beta =
+    -conj(alpha) beta / N(alpha), of trace -2 <alpha, beta> / N(alpha) and
+    norm N(beta) / N(alpha) for <,> the norm's bilinear form, lies exactly
+    when -2 <alpha, beta> L = T N(alpha) and N(beta) L = N N(alpha)."""
+    alg = structure.poly.algebra
+    alpha, beta, den = _class_remainder(structure, quadratic)
+    if not any(alpha) and not any(beta):
         return SphericalRoots()
-    if alpha.is_zero:
-        return NoRootInClass(alpha, beta)
-    candidate = -(alpha.inverse() * beta)
-    if not candidate.is_central and conjugacy_class(candidate) == cls:
-        return IsolatedRoot(candidate)
-    return NoRootInClass(alpha, beta)
+    if any(alpha):
+        norm_alpha = _int_qform(alg, alpha, alpha)
+        if norm_alpha == 0:
+            _quat(alg, alpha, den).inverse()  # raises ZeroDivisorError
+        n, t, lead = quadratic[0], -quadratic[1], quadratic[2]
+        if (-2 * _int_qform(alg, alpha, beta) * lead == t * norm_alpha
+                and _int_qform(alg, beta, beta) * lead == n * norm_alpha):
+            conj = [alpha[0], -alpha[1], -alpha[2], -alpha[3]]
+            return IsolatedRoot(_quat(alg, [-c for c in _int_qmul(alg, conj, beta)], norm_alpha))
+    return NoRootInClass(_quat(alg, alpha, den), _quat(alg, beta, den))
 
 
 # -- candidate generation ----------------------------------------------------
 
 
-def _quadratic_classes(structure: _Structure) -> list[tuple[SphereClass, bool]]:
-    """(class, spherical) for each rational quadratic factor x^2 - t x + n
-    of sqfree(H), spherical, and of the isolated part, holding one root;
-    sorted by (t, n).  Over a definite algebra (a, b < 0) every non-central
-    element has t^2 < 4n, so a factor with real roots names no class."""
-    def sphere(f: list[int]) -> SphereClass:
-        return SphereClass(Fraction(-f[1], f[2]), Fraction(f[0], f[2]))
-
+def _quadratic_classes(structure: _Structure) -> list[tuple[SphereClass, list[int], bool]]:
+    """(class, quadratic, spherical) for each rational quadratic factor
+    x^2 - t x + n, as a primitive integer polynomial, of sqfree(H),
+    spherical, and of the isolated part, holding one root; sorted by
+    (t, n).  Over a definite algebra (a, b < 0) every non-central element
+    has t^2 < 4n, so a factor with real roots names no class."""
     definite = structure.poly.algebra.is_definitely_division
-    found = [(sphere(f), True) for f in structure.central_factors
+    found = [(f, True) for f in structure.central_factors
              if len(f) == 3 and not (definite and f[1] ** 2 > 4 * f[0] * f[2])]
-    found += [(sphere(f), False) for f in structure.isolated_factors if len(f) == 3]
-    return sorted(found, key=lambda entry: (entry[0].trace, entry[0].norm))
+    found += [(f, False) for f in structure.isolated_factors if len(f) == 3]
+    return sorted([(SphereClass(Fraction(-f[1], f[2]), Fraction(f[0], f[2])), f, spherical)
+                   for f, spherical in found], key=lambda entry: (entry[0].trace, entry[0].norm))
 
 
 def candidate_classes(poly: QPoly) -> list[ConjClass]:
@@ -219,21 +233,26 @@ def candidate_classes(poly: QPoly) -> list[ConjClass]:
         raise PreconditionError("the zero polynomial has roots everywhere")
     structure = _Structure(poly)
     return ([CentralClass(r) for r in _central_roots(structure)]
-            + [cls for cls, _ in _quadratic_classes(structure)])
+            + [cls for cls, _, _ in _quadratic_classes(structure)])
 
 
-def _sphere_witness(poly: QPoly, cls: SphereClass) -> Optional[Quaternion]:
-    """A rational-coordinate element of the class, if one is easy to find."""
-    alg = poly.algebra
-    half_trace = cls.trace / 2
-    radicand = cls.norm - half_trace**2
-    for unit in alg.units():
-        unit_norm = unit.norm()
-        if unit_norm == 0:
-            continue
-        scaled = rational_sqrt(radicand / unit_norm)
-        if scaled is not None:
-            return alg.scalar(half_trace) + scaled * unit
+def _sphere_witness(alg: AlgebraParams, quadratic: list[int]) -> Optional[Quaternion]:
+    """T/(2L) + s u in the class of L x^2 - T x + N, for the first unit
+    u = i, j, k with s^2 = (4 L N - T^2) / (4 L^2 N(u)) a rational square,
+    or None; checked on its trace and norm."""
+    n, t, lead = quadratic[0], -quadratic[1], quadratic[2]
+    scale = alg._norm_weights[0]
+    for m, weight in enumerate(alg._norm_weights[1:], 1):
+        # N(u) = weight / scale; num / den is a square iff num * den is
+        square = (4 * lead * n - t * t) * weight * scale
+        root = isqrt(square) if square >= 0 else -1
+        if root * root == square:
+            coords = [Fraction(t, 2 * lead), 0, 0, 0]
+            coords[m] = Fraction(root, 2 * lead * abs(weight))
+            witness = alg.quat(*coords)
+            if witness.trace() * lead != t or witness.norm() * lead != n:
+                raise InvariantViolation(f"witness {witness} is not a root of {quadratic}")
+            return witness
     return None
 
 
@@ -248,30 +267,20 @@ def classify(poly: QPoly) -> RootReport:
     spherical classes, and each rational quadratic factor of the
     isolated part a class settled by its linear remainder.  The factors
     come from a p-adic search, so the report is complete and uses no
-    floats.  All stages share one integer structure of P.  The count
-    bound, the divisibility of P by the product of spherical class
-    quadratics and every isolated root are checked before returning.
+    floats.  All stages, down to the checks of the count bound, of the
+    divisibility of P by the product of spherical class quadratics and
+    of every isolated root, run on one integer structure of P.
     """
     if poly.is_zero or poly.degree < 1:
         raise PreconditionError("classification needs a polynomial of degree at least 1")
     structure = _Structure(poly)
     entries: list[tuple[ConjClass, ClassStatus]] = []
-    for cand, spherical in _quadratic_classes(structure):
-        # a factor of H right-divides P, so its class has no remainder
-        status = SphericalRoots() if spherical else _class_status(structure, cand)
-        cls: ConjClass = cand
-        if isinstance(status, IsolatedRoot):
-            cls = conjugacy_class(status.representative)
-        elif isinstance(status, SphericalRoots):
-            witness = _sphere_witness(poly, cand)
-            if witness is not None:
-                witnessed = conjugacy_class(witness)
-                if witnessed != cand:
-                    raise InvariantViolation(
-                        f"witness {witness} landed in {witnessed}, not {cand}"
-                    )
-                cls = witnessed
-        entries.append((cls, status))
+    for cls, quadratic, spherical in _quadratic_classes(structure):
+        # a factor of H right-divides P, so its class has no remainder;
+        # a witness, where one is found, is checked to lie in the class
+        if spherical:
+            _sphere_witness(poly.algebra, quadratic)
+        entries.append((cls, SphericalRoots() if spherical else _class_status(structure, quadratic)))
     report = RootReport(degree=poly.degree, central_roots=tuple(_central_roots(structure)),
                         class_entries=tuple(entries), candidate_source="exact")
     _check_report(structure, report)
@@ -279,16 +288,14 @@ def classify(poly: QPoly) -> RootReport:
 
 
 def _check_report(structure: _Structure, report: RootReport):
-    degree = report.degree
-    spherical = report.spherical_classes
-    if report.root_count > degree:
+    if report.root_count > report.degree:
         raise InvariantViolation(
             f"central + isolated + 2 * spherical = {report.root_count} "
-            f"exceeds the degree {degree}"
+            f"exceeds the degree {report.degree}"
         )
     product = [1]
-    for cls in spherical:
-        product = _int_mul(product, _quadratic(cls.trace, cls.norm))
+    for cls in report.spherical_classes:
+        product = _int_mul(product, _quadratic(cls))
     if any(_int_quotient(row, product) is None for row in structure.rows):
         raise InvariantViolation(
             "product of spherical class quadratics does not right-divide P"

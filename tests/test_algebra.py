@@ -22,9 +22,12 @@ from quatpoly import (
     same_class,
 )
 
-from conftest import DIVISION_ALGEBRAS, nonzero_quaternions, quaternions
+from conftest import DIVISION_ALGEBRAS, FRACTIONAL_ALGEBRAS, nonzero_quaternions, quaternions
 
 algebras = st.sampled_from(DIVISION_ALGEBRAS)
+#: every algebra of conftest, with a split one whose norm form is isotropic
+all_algebras = st.sampled_from(
+    DIVISION_ALGEBRAS + FRACTIONAL_ALGEBRAS + [AlgebraParams(Fraction(1), Fraction(1))])
 
 
 class TestMultiplicationTable:
@@ -68,12 +71,20 @@ class TestMultiplicationTable:
 
 
 class TestNormAndConjugate:
-    @given(algebras, st.data())
+    @given(all_algebras, st.data())
     @settings(max_examples=60)
     def test_norm_multiplicative(self, A, data):
         p = data.draw(quaternions(A))
         q = data.draw(quaternions(A))
         assert (p * q).norm() == p.norm() * q.norm()
+
+    @given(all_algebras, st.data())
+    @settings(max_examples=100)
+    def test_norm_is_the_norm_form(self, A, data):
+        # the integer-numerator norm against the defining Fraction formula
+        q = data.draw(quaternions(A))
+        a, b = A.a, A.b
+        assert q.norm() == q.w**2 - a * q.x**2 - b * q.y**2 + a * b * q.z**2
 
     @given(algebras, st.data())
     @settings(max_examples=60)
@@ -194,3 +205,11 @@ class TestRationalSquares:
         assert not is_rational_square(Fraction(2))
         assert rational_sqrt(Fraction(2)) is None
         assert rational_sqrt(Fraction(-1)) is None
+
+    def test_floats_are_refused(self):
+        # floats would be converted with their binary rounding
+        with pytest.raises(PreconditionError):
+            rational_sqrt(0.25)
+        with pytest.raises(PreconditionError):
+            is_rational_square(2.25)
+        assert rational_sqrt(4) == 2 and is_rational_square("9/4")

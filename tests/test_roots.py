@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from quatpoly import (
     HAMILTON,
+    AlgebraParams,
     IsolatedRoot,
     NoRootInClass,
     PreconditionError,
     QPoly,
     SphereClass,
     SphericalRoots,
+    ZeroDivisorError,
     analyze_sparse,
     candidate_classes,
     class_remainder,
@@ -34,6 +36,7 @@ from quatpoly import (
     spherical_bound_report,
     spherical_classes,
 )
+from quatpoly.roots import _quadratic, _sphere_witness
 
 from conftest import (
     DIVISION_ALGEBRAS,
@@ -41,6 +44,7 @@ from conftest import (
     qpolys,
     quaternions,
     separated_class_product,
+    small_fractions,
 )
 
 A = HAMILTON
@@ -176,6 +180,98 @@ class TestClassifyAgreesWithStages:
         assert [cls for cls, _ in rep.class_entries] == spheres
         for cls, status in rep.class_entries:
             assert class_status(poly, cls) == status
+
+
+def fraction_norm(q):
+    """w^2 - a x^2 - b y^2 + ab z^2, in Fraction arithmetic."""
+    a, b = q.algebra.a, q.algebra.b
+    return q.w**2 - a * q.x**2 - b * q.y**2 + a * b * q.z**2
+
+
+def remainder_decision(poly, cls):
+    """The class decision from (alpha, beta) in Fraction arithmetic: the
+    candidate -alpha^-1 beta is a root when it has the class's trace and
+    norm."""
+    alpha, beta = class_remainder(poly, cls)
+    if alpha.is_zero:
+        return SphericalRoots() if beta.is_zero else NoRootInClass(alpha, beta)
+    n = fraction_norm(alpha)
+    inverse = alpha.algebra.quat(*(c / n for c in alpha.conjugate().coords()))
+    candidate = -(inverse * beta)
+    if candidate.trace() == cls.trace and fraction_norm(candidate) == cls.norm:
+        return IsolatedRoot(candidate)
+    return NoRootInClass(alpha, beta)
+
+
+class TestIntegerClassDecision:
+    """class_status decides on integer vectors; the oracle decides on
+    the Fraction remainder."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_fraction_decision(self, data):
+        alg = data.draw(st.sampled_from(DIVISION_ALGEBRAS + FRACTIONAL_ALGEBRAS))
+        x = QPoly.x(alg)
+        factors = data.draw(st.lists(quaternions(alg, bound=3), min_size=1, max_size=4))
+        poly = QPoly.constant(alg.one)
+        for q in factors:
+            poly = poly * (x - QPoly.constant(q))
+        noncentral = [q for q in factors if not q.is_central]
+        own = data.draw(st.booleans()) and noncentral
+        q = (data.draw(st.sampled_from(noncentral)) if own
+             else data.draw(quaternions(alg, bound=3).filter(lambda v: not v.is_central)))
+        cls = conjugacy_class(q)
+        if data.draw(st.integers(0, 3)) == 0:
+            poly = poly * minimal_polynomial(cls).lift(alg)  # the whole class
+        status = class_status(poly, cls)
+        assert status == remainder_decision(poly, cls)
+        if q is factors[-1]:
+            # the rightmost linear factor's point is a root of P
+            assert isinstance(status, SphericalRoots) or status == IsolatedRoot(q)
+
+    def test_examples(self):
+        poly = parse_to_qpoly("(x - 1 - j)(x - i)")
+        assert class_status(poly, SphereClass(0, 1)) == IsolatedRoot(A.i)
+        assert remainder_decision(poly, SphereClass(0, 1)) == IsolatedRoot(A.i)
+        # the candidate i matches only the trace of x^2 + 2, only the norm
+        # of x^2 - x + 1
+        for cls in (SphereClass(0, 2), SphereClass(1, 1)):
+            assert class_status(parse_to_qpoly("x - i"), cls) == NoRootInClass(A.one, -A.i)
+
+    def test_zero_norm_alpha_raises_over_a_split_algebra(self):
+        split = AlgebraParams(Fraction(1), Fraction(1))
+        # (1 + i) x leaves alpha = 1 + i modulo x^2 + 1, of norm 1 - 1 = 0
+        poly = QPoly(split, [split.zero, split.one + split.i])
+        assert class_remainder(poly, SphereClass(0, 1)) == (split.one + split.i, split.zero)
+        with pytest.raises(ZeroDivisorError, match="zero norm and no inverse"):
+            class_status(poly, SphereClass(0, 1))
+
+
+class TestSphereWitness:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_witness_lies_in_its_class(self, data):
+        alg = data.draw(st.sampled_from(DIVISION_ALGEBRAS + FRACTIONAL_ALGEBRAS))
+        cls = conjugacy_class(data.draw(quaternions(alg, bound=5).filter(
+            lambda v: not v.is_central)))
+        witness = _sphere_witness(alg, _quadratic(cls))
+        if witness is not None:
+            assert witness.trace() == cls.trace and fraction_norm(witness) == cls.norm
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_found_for_a_class_through_a_unit(self, data):
+        alg = data.draw(st.sampled_from(DIVISION_ALGEBRAS + FRACTIONAL_ALGEBRAS))
+        t, s = data.draw(small_fractions()), data.draw(small_fractions().filter(bool))
+        unit = data.draw(st.sampled_from(alg.units()))
+        cls = conjugacy_class(alg.scalar(t) + alg.scalar(s) * unit)
+        witness = _sphere_witness(alg, _quadratic(cls))
+        assert witness is not None and conjugacy_class(witness) == cls
+
+    def test_examples(self):
+        alg = AlgebraParams(Fraction(-1), Fraction(-2))
+        assert _sphere_witness(alg, [2, 0, 1]) == alg.j
+        assert _sphere_witness(HAMILTON, [7, 0, 1]) is None
 
 
 class TestSphericalBound:
