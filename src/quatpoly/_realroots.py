@@ -1,10 +1,11 @@
 """Float root extraction for real polynomials, plus root clustering.
 
-Thin wrapper around numpy's companion-matrix eigenvalue solver, for the
-float backend.  The clustering routine (single-linkage grouping at a
-relative tolerance, and a split into real values and conjugate-pair
-invariants) served the former eigenvalue-based exact candidate search;
-nothing in the package calls it, but the benchmark tracer wraps it.
+The float backend's eigensolver is ``numpy.roots`` without its per-call
+input checks: it eigensolves the same companion matrix.  The clustering
+routine (single-linkage grouping at a relative tolerance, and a split
+into real values and conjugate-pair invariants) served the former
+eigenvalue-based exact candidate search; nothing in the package calls
+it, but the benchmark tracer wraps it.
 """
 
 from __future__ import annotations
@@ -15,21 +16,25 @@ from .errors import NumericFailure
 
 
 def real_poly_roots(coeffs_const_first: Sequence[float]) -> list[complex]:
-    """All complex roots of a real polynomial given constant-first."""
+    """All complex roots of a real polynomial given constant-first, bit for
+    bit as ``numpy.roots``: companion eigenvalues, then 0j per zero constant
+    term."""
     # imported here so that commands which never solve for roots do not
     # pay numpy's import time
     import numpy as np
 
-    cs = list(coeffs_const_first)
-    while cs and cs[-1] == 0.0:
-        cs.pop()
+    nonzero = [k for k, c in enumerate(coeffs_const_first) if c != 0.0] or [0]
+    zeros, cs = nonzero[0], coeffs_const_first[nonzero[0]:nonzero[-1] + 1]
     if len(cs) <= 1:
-        return []
+        return [0j] * zeros
+    # ones on the subdiagonal, first row -p[1:] / p[0] for p highest-first
+    companion = np.eye(len(cs) - 1, k=-1)
+    companion[0, :] = [-c / cs[-1] for c in reversed(cs[:-1])]
     try:
-        roots = np.roots(np.array(cs[::-1], dtype=float))
+        roots = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"companion-matrix eigenvalue solve failed: {exc}") from exc
-    return [complex(z) for z in roots]
+    return roots.astype(complex).tolist() + [0j] * zeros
 
 
 def fold_cluster(points: Sequence[complex], tol: float) -> list[list[int]]:

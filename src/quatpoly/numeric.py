@@ -6,7 +6,8 @@ without loss.  The real roots of sqfree(H) are P's central roots, its
 conjugate root pairs are P's spherical classes, and every root pair of
 sqfree(N(G)) / gcd(., sqfree(H)) is a class holding exactly one root of
 P.  Both parts are square-free, so the eigensolver never faces a
-multiple root, and the class counts are exact by construction.  Floats
+multiple root, and the class counts are exact by construction; a part
+of degree 2 is decided exactly, real or not by its discriminant.  Floats
 only place the classes and compute isolated representatives; zero
 tests compare a residual against eps_zero times the evaluation scale,
 and a failed test raises :class:`NumericFailure` rather than guessing.
@@ -101,18 +102,8 @@ class QuatF:
 
     @classmethod
     def from_exact(cls, q: Quaternion) -> "QuatF":
-        if q.algebra != HAMILTON:
-            raise PreconditionError(
-                "the float backend models the Hamilton algebra (-1, -1); "
-                f"got (a, b) = ({q.algebra.a}, {q.algebra.b})"
-            )
-        coords = []
-        for name in ("w", "x", "y", "z"):
-            try:
-                coords.append(float(getattr(q, name)))
-            except OverflowError:
-                raise PreconditionError(f"component {name} is too large for float64") from None
-        return cls(*coords)
+        _require_hamilton(q.algebra)
+        return cls(*_exact_coords(q))
 
     def _coords(self) -> Quat:
         return (self.w, self.x, self.y, self.z)
@@ -155,6 +146,25 @@ class QuatF:
 
     def __str__(self) -> str:
         return f"({self.w:.12g}, {self.x:.12g}, {self.y:.12g}, {self.z:.12g})"
+
+
+def _require_hamilton(algebra) -> None:
+    if algebra != HAMILTON:
+        raise PreconditionError(
+            "the float backend models the Hamilton algebra (-1, -1); "
+            f"got (a, b) = ({algebra.a}, {algebra.b})"
+        )
+
+
+def _exact_coords(q: Quaternion) -> Quat:
+    """Correctly rounded coordinates: int / int has the bits of float(Fraction)."""
+    coords = []
+    for name, v in zip("wxyz", (q.w, q.x, q.y, q.z)):
+        try:
+            coords.append(v.numerator / v.denominator)
+        except OverflowError:
+            raise PreconditionError(f"component {name} is too large for float64") from None
+    return tuple(coords)
 
 
 def _quatf(q: Quat, stage: str) -> QuatF:
@@ -211,7 +221,8 @@ PolyLike = Union[QPoly, Sequence[QuatF]]
 
 def _as_float_coeffs(poly: PolyLike) -> tuple[Quat, ...]:
     if isinstance(poly, QPoly):
-        coeffs = tuple(QuatF.from_exact(c)._coords() for c in poly.coeffs)
+        _require_hamilton(poly.algebra)
+        coeffs = tuple(map(_exact_coords, poly.coeffs))
     else:
         for c in poly:
             if not isinstance(c, QuatF):
@@ -247,20 +258,6 @@ def _eval_scale(coeffs: Sequence[float], magnitude: float) -> float:
     return total
 
 
-def _div_quadratic(coeffs: Sequence[float], t: float, n: float) -> tuple[list[float], float, float]:
-    """Synthetic division by x^2 - t x + n: quotient and linear remainder."""
-    rem = list(coeffs)
-    quot = [0.0] * max(0, len(coeffs) - 2)
-    for d in range(len(rem) - 1, 1, -1):
-        c = rem[d]
-        quot[d - 2] = c
-        rem[d - 1] += c * t
-        rem[d - 2] -= c * n
-    r0 = rem[0] if rem else 0.0
-    r1 = rem[1] if len(rem) > 1 else 0.0
-    return quot, r1, r0
-
-
 def companion_roots_f64(
     poly: PolyLike, settings: NumericSettings | None = None
 ) -> list[complex]:
@@ -277,7 +274,7 @@ def companion_roots_f64(
     return _companion_roots(_float_companion(coeffs), settings or NumericSettings())
 
 
-def _companion_roots(comp: Sequence[float], st: NumericSettings) -> list[complex]:
+def _companion_roots(comp: Sequence[float], st: NumericSettings, roots=None) -> list[complex]:
     _finite("companion coefficient", *comp)
     scale = max(abs(v) for v in comp)
     lead = abs(comp[-1])
@@ -287,7 +284,7 @@ def _companion_roots(comp: Sequence[float], st: NumericSettings) -> list[complex
             f"exceeds max_condition {st.max_condition:.3g}",
             partial=comp,
         )
-    roots = real_poly_roots(comp)
+    roots = real_poly_roots(comp) if roots is None else roots
     for z in roots:
         value = 0.0 + 0.0j
         for c in reversed(comp):
@@ -306,21 +303,38 @@ def _companion_roots(comp: Sequence[float], st: NumericSettings) -> list[complex
 
 
 def _quat_quadratic_remainder(coeffs: Sequence[Quat], t: float, n: float) -> tuple[Quat, Quat]:
-    """Remainder of the polynomial modulo the central x^2 - t x + n."""
-    # reduce each coordinate row; regroup (quotient, r1, r0) across rows
-    _, alpha, beta = zip(*(_div_quadratic(row, t, n) for row in zip(*coeffs)))
-    return alpha, beta
+    """Remainder alpha x + beta of the polynomial modulo the central x^2 - t x + n."""
+    alpha, beta = [], []
+    for row in zip(*coeffs):  # synthetic division, one coordinate row at a time
+        rem = list(row) + [0.0] * (2 - len(row))
+        for d in range(len(rem) - 1, 1, -1):
+            rem[d - 1] += rem[d] * t
+            rem[d - 2] -= rem[d] * n
+        alpha.append(rem[1])
+        beta.append(rem[0])
+    return tuple(alpha), tuple(beta)
 
 
 def _part_roots(part: Sequence[int], st: NumericSettings) -> list[complex]:
-    """Residual-checked roots of an exact primitive integer polynomial."""
-    lead = part[-1]
+    """Residual-checked roots of an exact primitive integer polynomial.
+
+    A quadratic is solved in closed form: its exact discriminant decides
+    real against complex, and real roots are taken without cancellation.
+    """
     try:
-        comp = [c / lead for c in part]
+        comp = [c / part[-1] for c in part]
+        roots = None
+        if len(part) == 3:
+            c0, c1, c2 = part
+            disc = c1 * c1 - 4 * c0 * c2
+            h, s = -c1 / (2 * c2), math.sqrt(abs(disc) / (4 * c2 * c2))  # roots h +- s or h +- s i
+            r1 = h + math.copysign(s, h)  # 0 only when both roots underflow
+            roots = ([complex(r1), complex(c0 / c2 / r1 if r1 else 0.0)] if disc > 0
+                     else [complex(h, s), complex(h, -s)])
     except OverflowError:
         raise NumericFailure("non-finite companion coefficient: a ratio to the "
                              "leading coefficient exceeds float64") from None
-    return _companion_roots(comp, st)
+    return _companion_roots(comp, st, roots)
 
 
 def classify_f64(poly: PolyLike, settings: NumericSettings | None = None) -> RootReport:
@@ -420,11 +434,7 @@ def agree_with_exact(
     the exact report holds every class with rational invariants, so
     theirs are irrational.
     """
-    if poly.algebra != HAMILTON:
-        raise PreconditionError(
-            "the float backend models the Hamilton algebra (-1, -1); "
-            f"got (a, b) = ({poly.algebra.a}, {poly.algebra.b})"
-        )
+    _require_hamilton(poly.algebra)
     st = settings or NumericSettings()
     exact_report = classify(poly)
     numeric_report = classify_f64(poly, st)

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -138,6 +139,26 @@ class TestNonFinite:
     def test_exact_value_too_large_for_float(self):
         with pytest.raises(PreconditionError, match="component x is too large"):
             QuatF.from_exact(A.quat(0, 10**400, 0, 0))
+
+    @pytest.mark.parametrize("call", [
+        lambda poly: roots_in_subfield_f64(poly, A.j),
+        lambda poly: eval_f64(poly, A.one),
+    ], ids=["roots_in_subfield_f64", "eval_f64"])
+    def test_exact_coefficient_too_large_for_float(self, call):
+        poly = QPoly(A, [A.quat(1, 0, 0, 0), A.quat(0, 0, 10**400, 0), A.one])
+        with pytest.raises(PreconditionError, match="component y is too large for float64"):
+            call(poly)
+
+    @pytest.mark.parametrize("call", [classify_f64, companion_roots_f64,
+                                      lambda poly: eval_f64(poly, A.one)],
+                             ids=["classify_f64", "companion_roots_f64", "eval_f64"])
+    def test_non_hamilton_poly_rejected(self, call):
+        from quatpoly import AlgebraParams
+
+        B = AlgebraParams(Fraction(-1), Fraction(-2))
+        with pytest.raises(PreconditionError, match=r"Hamilton algebra \(-1, -1\); "
+                                                    r"got \(a, b\) = \(-1, -2\)"):
+            call(QPoly(B, [B.i, B.one]))
 
 
 class TestEvalF64:
@@ -326,6 +347,61 @@ class TestCompanionRootsF64:
         poly = parse_to_qpoly("1/10000000000000 x^2 + 10000000000000")
         with pytest.raises(NumericFailure):
             classify_f64(poly)
+
+
+class TestRealPolyRoots:
+    """The direct companion eigensolve is numpy.roots, bit for bit."""
+
+    @given(
+        st.lists(st.floats(-1e6, 1e6) | st.just(0.0), min_size=1, max_size=12),
+        st.floats(1e-3, 1e6), st.booleans(), st.integers(0, 3), st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_roots(self, lower, lead, negate, zero_constants, zero_lead):
+        # degree 1-12 after trimming, with up to 3 zero constant terms
+        coeffs = ([0.0] * zero_constants + lower)[:12] + [-lead if negate else lead]
+        if zero_lead:
+            coeffs.append(0.0)  # a zero leading entry, trimmed as numpy trims it
+        want = [complex(z) for z in np.roots(np.array(coeffs[::-1], dtype=float))]
+        got = numeric.real_poly_roots(coeffs)
+        assert [repr(z) for z in got] == [repr(z) for z in want]
+
+    @pytest.mark.parametrize("coeffs", [[2.0, -4.0], [0.0, 3.0], [0.0, 0.0, 1.0, 0.0], [5.0], []])
+    def test_small_cases_match_numpy_roots(self, coeffs):
+        want = [complex(z) for z in np.roots(np.array(coeffs[::-1], dtype=float))]
+        assert [repr(z) for z in numeric.real_poly_roots(coeffs)] == [repr(z) for z in want]
+
+
+class TestQuadraticParts:
+    """Degree-2 parts of the split are real or not by their exact
+    discriminant, so near-double roots keep their kind."""
+
+    def test_near_double_root_is_a_sphere(self):
+        # disc = -4 / 10^20 < 0: the sphere (2, 1 + 10^-20), not two central 1s
+        report = classify_f64(parse_to_qpoly(f"x^2 - 2x + 1 + 1/{10**20}"))
+        assert counts(report) == (0, 1, 0)
+        ((cls, _),) = report.class_entries
+        eps = NumericSettings().eps_class
+        assert (cls.trace, cls.norm) == pytest.approx((2.0, 1.0), rel=eps, abs=eps)
+
+    def test_nearly_real_isolated_root(self):
+        report = classify_f64(parse_to_qpoly(f"x - 1 - 1/{10**9} i"))
+        assert counts(report) == (0, 0, 1)
+        ((cls, status),) = report.class_entries
+        eps = NumericSettings().eps_class
+        assert (cls.trace, cls.norm) == pytest.approx((2.0, 1.0), rel=eps, abs=eps)
+        r = status.representative
+        assert (r.w, r.x, r.y, r.z) == pytest.approx((1.0, 1e-9, 0.0, 0.0), rel=1e-12, abs=1e-20)
+
+    def test_close_central_roots_stay_central(self):
+        # disc = 10^-16 > 0: central roots 1 and 1 + 10^-8, not a sphere
+        report = classify_f64(parse_to_qpoly(f"(x - 1)(x - 1 - 1/{10**8})"))
+        assert counts(report) == (2, 0, 0)
+        assert report.central_roots == pytest.approx((1.0, 1.0 + 1e-8), rel=1e-14)
+
+    def test_closed_form_roots_are_residual_checked(self):
+        with pytest.raises(NumericFailure, match="residual"):
+            classify_f64(parse_to_qpoly("x^2 - 2"), NumericSettings(eps_zero=1e-30))
 
 
 def random_monic(rng: random.Random, degree: int) -> QPoly:
