@@ -20,6 +20,7 @@ rounds.  Floats are rejected on input rather than silently converted.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -68,6 +69,19 @@ def _int_qmul(algebra: AlgebraParams, p, q) -> list[int]:
             s * (w1 * x2 + x1 * w2) + e2 * (y1 * z2 - z1 * y2),
             s * (w1 * y2 + y1 * w2) - e1 * (x1 * z2 - z1 * x2),
             s * (w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2)]
+
+
+def _power(base, n: int, one, mul=operator.mul):
+    """base**n, n >= 0, by square-and-multiply from the top bit down: no
+    product by ``one``, bit_length - 1 squarings, popcount - 1 products."""
+    if not n:
+        return one
+    result = base
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
 
 
 def _int_qform(algebra: AlgebraParams, p, q) -> int:
@@ -213,14 +227,7 @@ class Quaternion:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.algebra.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.algebra.one)
 
     def __truediv__(self, other):
         q = self._coerce(other)

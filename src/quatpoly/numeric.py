@@ -326,8 +326,11 @@ def _part_roots(part: Sequence[int], st: NumericSettings) -> list[complex]:
         roots = None
         if len(part) == 3:
             c0, c1, c2 = part
-            disc = c1 * c1 - 4 * c0 * c2
-            h, s = -c1 / (2 * c2), math.sqrt(abs(disc) / (4 * c2 * c2))  # roots h +- s or h +- s i
+            disc, den = c1 * c1 - 4 * c0 * c2, 4 * c2 * c2
+            # roots h +- s or h +- s i; sqrt|disc| and 2 c2 share a scale 2^k that keeps
+            # s^2 normal, which leaves the bits of an already normal s^2 as they were
+            k = max(0, (den.bit_length() - abs(disc).bit_length() - 1000) // 2)
+            h, s = -c1 / (2 * c2), math.ldexp(math.sqrt((abs(disc) << 2 * k) / den), -k)
             r1 = h + math.copysign(s, h)  # 0 only when both roots underflow
             roots = ([complex(r1), complex(c0 / c2 / r1 if r1 else 0.0)] if disc > 0
                      else [complex(h, s), complex(h, -s)])

@@ -6,6 +6,8 @@ products, ``^`` for nonnegative integer powers, rationals written as
 ``p/q``, and the units ``i j k``.  Multiplication order is preserved
 exactly as written, so ``i j`` and ``j i`` lower to different
 constants.  ``parse_to_qpoly(str(P), P.algebra) == P`` for every QPoly.
+A tree is lowered to integer 4-vectors over one denominator, multiplied by
+the kernel of ``QPoly.__mul__``; Fractions are built once, for the result.
 
 JSON serialization writes polynomials as constant-first arrays of
 ``[w, x, y, z]`` component strings, each component an exact rational.
@@ -15,11 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 from typing import Sequence, Union
 
-from .algebra import HAMILTON, AlgebraParams, Quaternion
+from .algebra import HAMILTON, AlgebraParams, Quaternion, _power
 from .errors import ParseError
-from .polynomials import CentralPoly, QPoly
+from .polynomials import CentralPoly, QPoly, _int_qpoly_mul, _qpoly_from_vectors
 
 # -- tokens ------------------------------------------------------------------
 
@@ -248,20 +252,33 @@ def parse_poly_text(text: str) -> PolyExpr:
 
 
 def lower(expr: PolyExpr, algebra: AlgebraParams) -> QPoly:
-    """Evaluate a parse tree to a QPoly, preserving factor order."""
+    """Evaluate a parse tree to a QPoly on integer vectors, preserving factor order."""
+    return _qpoly_from_vectors(algebra, *_lower_vectors(expr, algebra))
+
+
+_ZERO, _ONE = (0, 0, 0, 0), (1, 0, 0, 0)
+
+
+def _lower_vectors(expr: PolyExpr, algebra: AlgebraParams) -> tuple[list, int]:
+    """(vectors, den) of a parse tree; see ``polynomials._int_qpoly_mul``."""
     if isinstance(expr, Lit):
-        unit = {"1": algebra.one, "i": algebra.i, "j": algebra.j, "k": algebra.k}
-        return QPoly.constant(algebra.scalar(expr.coef) * unit[expr.unit])
+        return [[expr.coef.numerator if u == expr.unit else 0 for u in "1ijk"]], expr.coef.denominator
     if isinstance(expr, Var):
-        return QPoly.x(algebra)
-    if isinstance(expr, Sum):
-        return lower(expr.left, algebra) + lower(expr.right, algebra)
-    if isinstance(expr, Diff):
-        return lower(expr.left, algebra) - lower(expr.right, algebra)
+        return [_ZERO, _ONE], 1
+    if isinstance(expr, Pow) and isinstance(expr.base, Var):
+        return [_ZERO] * expr.exponent + [_ONE], 1
+    if isinstance(expr, (Sum, Diff)):
+        (p, d1), (q, d2) = _lower_vectors(expr.left, algebra), _lower_vectors(expr.right, algebra)
+        den = lcm(d1, d2)
+        f, g = den // d1, den // d2 if isinstance(expr, Sum) else -(den // d2)
+        return [[f * a + g * b for a, b in zip(u, v)]
+                for u, v in zip_longest(p, q, fillvalue=_ZERO)], den
     if isinstance(expr, Prod):
-        return lower(expr.left, algebra) * lower(expr.right, algebra)
+        return _int_qpoly_mul(algebra, _lower_vectors(expr.left, algebra),
+                              _lower_vectors(expr.right, algebra))
     if isinstance(expr, Pow):
-        return lower(expr.base, algebra) ** expr.exponent
+        return _power(_lower_vectors(expr.base, algebra), expr.exponent, ([_ONE], 1),
+                      lambda p, q: _int_qpoly_mul(algebra, p, q))
     raise TypeError(f"not a PolyExpr node: {expr!r}")
 
 

@@ -25,6 +25,8 @@ from .algebra import (
     ConjClass,
     Quaternion,
     SphereClass,
+    _int_qmul,
+    _power,
     rational,
 )
 from .errors import InvariantViolation, PreconditionError
@@ -172,15 +174,8 @@ class QPoly:
         p = self._coerce_operand(other)
         if p is None:
             return NotImplemented
-        if self.is_zero or p.is_zero:
-            return QPoly(self.algebra)
-        out = [self.algebra.zero] * (len(self._coeffs) + len(p._coeffs) - 1)
-        for m, cm in enumerate(self._coeffs):
-            if cm.is_zero:
-                continue
-            for n, cn in enumerate(p._coeffs):
-                out[m + n] = out[m + n] + cm * cn
-        return QPoly(self.algebra, out)
+        product = _int_qpoly_mul(self.algebra, _int_vectors(self), _int_vectors(p))
+        return _qpoly_from_vectors(self.algebra, *product)
 
     def __rmul__(self, other):
         # Only constants land here; order matters, so multiply on the left.
@@ -194,14 +189,7 @@ class QPoly:
             return NotImplemented
         if n < 0:
             raise PreconditionError("polynomial powers must be nonnegative")
-        result = QPoly(self.algebra, (1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, QPoly(self.algebra, (1,)))
 
     def __divmod__(self, other):
         if not isinstance(other, QPoly):
@@ -399,14 +387,7 @@ class CentralPoly:
             return NotImplemented
         if n < 0:
             raise PreconditionError("polynomial powers must be nonnegative")
-        result = CentralPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, CentralPoly((1,)))
 
     def __divmod__(self, other):
         if not isinstance(other, CentralPoly):
@@ -607,7 +588,9 @@ def minimal_polynomial(cls: ConjClass) -> CentralPoly:
 #
 # The exact core computes on integer coefficient lists over one common
 # denominator and builds Fractions only for results: Fraction arithmetic
-# pays a gcd on every operation.
+# pays a gcd on every operation.  ``_int_qpoly_mul`` multiplies QPolys given
+# as (vectors, den), coefficients as integer 4-vectors, for ``QPoly.__mul__``
+# and the parser.
 
 
 def _to_ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -627,6 +610,35 @@ def _int_coords(poly: QPoly) -> tuple[list[list[int]], int]:
     one denominator."""
     ints, den = _to_ints([v for c in poly.coeffs for v in c.coords()])
     return [_trim(ints[m::4]) for m in range(4)], den
+
+
+def _int_vectors(poly: QPoly) -> tuple[list[list[int]], int]:
+    """P's coefficients as integer 4-vectors over one denominator."""
+    ints, den = _to_ints([v for c in poly.coeffs for v in c.coords()])
+    return [ints[m:m + 4] for m in range(0, len(ints), 4)], den
+
+
+def _qpoly_from_vectors(algebra: AlgebraParams, vectors, den: int) -> QPoly:
+    return QPoly(algebra, [Quaternion(algebra, Fraction(w, den), Fraction(x, den), Fraction(y, den),
+                                      Fraction(z, den)) for w, x, y, z in vectors])
+
+
+def _int_qpoly_mul(algebra: AlgebraParams, left, right) -> tuple[list[list[int]], int]:
+    """The product of (vectors, den) polynomials: ``_int_qmul`` convolves
+    the nonzero vectors and scales by ad*bd.  Over a split algebra even a
+    product of nonzero vectors can vanish; ``_qpoly_from_vectors`` trims."""
+    (p, d1), (q, d2) = left, right
+    out = [[0, 0, 0, 0] for _ in range(len(p) + len(q) - 1)]
+    terms = [(n, v) for n, v in enumerate(q) if any(v)]
+    for m, u in enumerate(p):
+        if any(u):
+            for n, v in terms:
+                acc, (w, x, y, z) = out[m + n], _int_qmul(algebra, u, v)
+                acc[0] += w
+                acc[1] += x
+                acc[2] += y
+                acc[3] += z
+    return out, algebra._norm_weights[0] * d1 * d2
 
 
 def _int_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:

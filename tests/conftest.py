@@ -65,6 +65,20 @@ def monic_qpolys(draw, algebra: AlgebraParams = HAMILTON, max_degree: int = 6,
     return QPoly(algebra, coeffs)
 
 
+def product_count(monkeypatch, cls, power) -> int:
+    """How many ``cls.__mul__`` calls ``power()`` makes."""
+    calls, mul = [], cls.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cls, "__mul__", counted)
+        power()
+    return len(calls)
+
+
 @pytest.fixture(scope="session")
 def sympy():
     """The sympy oracle; tests that use it skip where it is missing."""

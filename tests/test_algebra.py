@@ -11,6 +11,7 @@ from quatpoly import (
     AlgebraParams,
     CentralClass,
     PreconditionError,
+    Quaternion,
     SphereClass,
     ZeroDivisorError,
     commutes,
@@ -22,7 +23,8 @@ from quatpoly import (
     same_class,
 )
 
-from conftest import DIVISION_ALGEBRAS, FRACTIONAL_ALGEBRAS, nonzero_quaternions, quaternions
+from conftest import (DIVISION_ALGEBRAS, FRACTIONAL_ALGEBRAS, nonzero_quaternions, product_count,
+                      quaternions)
 
 algebras = st.sampled_from(DIVISION_ALGEBRAS)
 #: every algebra of conftest, with a split one whose norm form is isotropic
@@ -64,6 +66,20 @@ class TestMultiplicationTable:
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
         assert (p + q) * r == p * r + q * r
+
+    def test_power_square_and_multiply_count(self, monkeypatch):
+        q = HAMILTON.quat(1, 2, 0, -1)
+        for n, products in ((0, 0), (1, 0), (8, 3), (13, 5)):
+            assert product_count(monkeypatch, Quaternion, lambda: q**n) == products, n
+
+    @given(st.sampled_from(FRACTIONAL_ALGEBRAS), st.integers(-4, 9), st.data())
+    @settings(max_examples=40)
+    def test_power_is_repeated_product(self, A, n, data):
+        q = data.draw(nonzero_quaternions(A, bound=5))
+        expected = A.one
+        for _ in range(abs(n)):
+            expected = expected * (q if n >= 0 else q.inverse())
+        assert q**n == expected
 
     def test_noncommutative(self):
         A = HAMILTON

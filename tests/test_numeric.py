@@ -3,11 +3,12 @@
 import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quatpoly import (
@@ -402,6 +403,27 @@ class TestQuadraticParts:
     def test_closed_form_roots_are_residual_checked(self):
         with pytest.raises(NumericFailure, match="residual"):
             classify_f64(parse_to_qpoly("x^2 - 2"), NumericSettings(eps_zero=1e-30))
+
+    def test_subnormal_roots_keep_their_bits(self):
+        # |disc| / (4 c2^2) = 2^-2122 underflows to 0 when taken as one ratio
+        report = classify_f64(parse_to_qpoly(f"x (x + 1/{2**1060})"))
+        assert report.central_roots == (-2.0**-1060, 0.0)
+        roots = numeric._part_roots([1, 0, 2**2100], NumericSettings())
+        assert roots == [complex(0.0, 2.0**-1050), complex(0.0, -2.0**-1050)]
+
+    @given(st.integers(-9, 9), st.integers(1, 9), st.integers(1, 9), st.integers(0, 515))
+    @example(0, 1, 1, 505)  # scaled by 4^6: the bits must still match
+    @example(0, 3, 5, 509)  # ratio just above the smallest normal float
+    def test_normal_discriminant_ratio_keeps_its_bits(self, c0, c1, m, e):
+        c2 = m << e
+        disc = c1 * c1 - 4 * c0 * c2
+        assume(disc != 0 and abs(disc) / (4 * c2 * c2) >= sys.float_info.min)
+        # the one-ratio formula, exact for every normal |disc| / (4 c2^2)
+        h, s = -c1 / (2 * c2), math.sqrt(abs(disc) / (4 * c2 * c2))
+        r1 = h + math.copysign(s, h)
+        expected = ([complex(r1), complex(c0 / c2 / r1)] if disc > 0
+                    else [complex(h, s), complex(h, -s)])
+        assert numeric._part_roots([c0, c1, c2], NumericSettings()) == expected
 
 
 def random_monic(rng: random.Random, degree: int) -> QPoly:

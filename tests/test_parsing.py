@@ -15,13 +15,21 @@ from quatpoly import (
     parse_to_qpoly,
 )
 from quatpoly.parsing import (
+    Diff,
+    Lit,
+    Pow,
+    Prod,
+    Sum,
+    Var,
+    lower,
+    parse_poly_text,
     poly_from_json_obj,
     poly_to_json_obj,
     quat_to_json,
     tokenize,
 )
 
-from conftest import DIVISION_ALGEBRAS, qpolys
+from conftest import DIVISION_ALGEBRAS, FRACTIONAL_ALGEBRAS, qpolys
 
 A = HAMILTON
 algebras = st.sampled_from(DIVISION_ALGEBRAS)
@@ -174,3 +182,97 @@ class TestJsonValidation:
     def test_bad_entry_rejected(self):
         with pytest.raises(ParseError):
             poly_from_json_obj([["1", "x", "0", "0"]])
+
+
+# -- lowering oracle -----------------------------------------------------------
+
+SPLIT = AlgebraParams(Fraction(1), Fraction(1))
+ORACLE_ALGEBRAS = ([HAMILTON, AlgebraParams(Fraction(-1), Fraction(-2))] + FRACTIONAL_ALGEBRAS
+                   + [SPLIT])
+BIG = 10**18 + 9
+
+
+def naive_product(p: list, q: list, zero) -> list:
+    """The convolution of coefficient lists by Quaternion operations."""
+    out = [zero] * (len(p) + len(q) - 1)
+    for m, a in enumerate(p):
+        for n, b in enumerate(q):
+            out[m + n] = out[m + n] + a * b
+    return out
+
+
+def reference(expr, A) -> list:
+    """Constant-first, untrimmed coefficients of a parse tree."""
+    if isinstance(expr, Lit):
+        return [A.scalar(expr.coef) * {"1": A.one, "i": A.i, "j": A.j, "k": A.k}[expr.unit]]
+    if isinstance(expr, Var):
+        return [A.zero, A.one]
+    if isinstance(expr, (Sum, Diff)):
+        p, q = reference(expr.left, A), reference(expr.right, A)
+        n = max(len(p), len(q))
+        p, q = p + [A.zero] * (n - len(p)), q + [A.zero] * (n - len(q))
+        return [a + b if isinstance(expr, Sum) else a - b for a, b in zip(p, q)]
+    if isinstance(expr, Prod):
+        return naive_product(reference(expr.left, A), reference(expr.right, A), A.zero)
+    if isinstance(expr, Pow):
+        out, base = [A.one], reference(expr.base, A)
+        for _ in range(expr.exponent):
+            out = naive_product(out, base, A.zero)
+        return out
+    raise TypeError(expr)
+
+
+coefs = st.one_of(st.fractions(-20, 20, max_denominator=12),
+                  st.integers(-3, 3).map(lambda n: Fraction(n, BIG)),
+                  st.integers(-BIG, BIG).map(lambda n: Fraction(n, 7)))
+leaves = st.one_of(st.builds(Lit, coefs, st.sampled_from("1ijk")), st.just(Var()),
+                   st.builds(Pow, st.just(Var()), st.integers(0, 4)))
+trees = st.recursive(
+    leaves,
+    lambda sub: st.one_of(st.builds(Sum, sub, sub), st.builds(Diff, sub, sub),
+                          st.builds(Prod, sub, sub), st.builds(Pow, sub, st.integers(0, 3))),
+    max_leaves=8)
+
+
+class TestLoweringOracle:
+    """``lower`` on integer rows against Quaternion-by-Quaternion evaluation."""
+
+    @given(st.sampled_from(ORACLE_ALGEBRAS), trees)
+    @settings(max_examples=150, deadline=None)
+    def test_lower_matches_reference(self, A_, expr):
+        assert lower(expr, A_) == QPoly(A_, reference(expr, A_))
+
+    @pytest.mark.parametrize("A_", ORACLE_ALGEBRAS, ids=str)
+    @pytest.mark.parametrize("text", [
+        "i j", "j i", "(x - i + 2/3 j)^0", "(x - i + 2/3 j)^1", "(i x + j)^3 (k - x)^2",
+        "x^3 - x^3 + x", "x^3 - x^3", "0 i", "0", "(1 + i)(1 - i) x^2 + x",
+        f"1/{BIG} x^2 - {BIG}/3 i x + (1/{BIG} k)(2/{BIG} j)",
+    ])
+    def test_cases_match_reference(self, A_, text):
+        p = parse_to_qpoly(text, A_)
+        assert p == QPoly(A_, reference(parse_poly_text(text), A_))
+
+    def test_hand_checked_values(self):
+        B = AlgebraParams(Fraction(-1, 2), Fraction(-3))
+        assert parse_to_qpoly("i j", B) == -parse_to_qpoly("j i", B) == QPoly.constant(B.k)
+        assert parse_to_qpoly("(x - i + j)^0", B) == QPoly.constant(B.one)
+        assert parse_to_qpoly("(x - i + j)^1", B) == parse_to_qpoly("x - i + j", B)
+        assert parse_to_qpoly("x^3 - x^3 + x", B) == QPoly.x(B)
+        assert parse_to_qpoly("x^3 - x^3", B).is_zero and parse_to_qpoly("0 i", B).is_zero
+        # (1 + i)(1 - i) = 1 - i^2 vanishes when i^2 = 1, and the leading entry with it
+        assert parse_to_qpoly("(1 + i)(1 - i) x^2 + x", SPLIT) == QPoly.x(SPLIT)
+        assert parse_to_qpoly(f"1/{BIG} x", B).coefficient(1) == B.scalar(Fraction(1, BIG))
+
+    @given(st.sampled_from(ORACLE_ALGEBRAS), st.data())
+    @settings(max_examples=60)
+    def test_qpoly_mul_matches_reference(self, A_, data):
+        p = data.draw(qpolys(A_, max_degree=4))
+        q = data.draw(qpolys(A_, max_degree=4))
+        expected = naive_product(list(p.coeffs), list(q.coeffs), A_.zero) if p and q else []
+        assert p * q == QPoly(A_, expected)
+
+    def test_split_product_trims_vanishing_entries(self):
+        x = QPoly.x(SPLIT)
+        one, i = QPoly.constant(SPLIT.one), QPoly.constant(SPLIT.i)
+        assert ((one + i) * x) * (one - i) == QPoly(SPLIT)
+        assert ((one + i) * x + one) * (one - i) == one - i

@@ -32,6 +32,7 @@ from conftest import (
     FRACTIONAL_ALGEBRAS,
     monic_qpolys,
     nonzero_quaternions,
+    product_count,
     qpolys,
     quaternions,
     small_fractions,
@@ -108,6 +109,30 @@ class TestRingStructure:
         if not p.is_zero and not q.is_zero:
             # no zero divisors among Hamilton coefficients
             assert (p * q).degree == p.degree + q.degree
+
+
+class TestPowers:
+    def test_square_and_multiply_count(self, monkeypatch):
+        # bit_length - 1 squarings and popcount - 1 products, none by 1
+        x = QPoly.x(HAMILTON)
+        for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (13, 5), (16, 4)):
+            assert product_count(monkeypatch, QPoly, lambda: x**n) == products, n
+        f = CentralPoly((1, 1))
+        assert product_count(monkeypatch, CentralPoly, lambda: f**8) == 3
+
+    @given(st.sampled_from(FRACTIONAL_ALGEBRAS), st.integers(0, 9), st.data())
+    @settings(max_examples=40)
+    def test_power_is_repeated_product(self, A, n, data):
+        p = data.draw(qpolys(A, max_degree=2, bound=4))
+        expected = QPoly(A, (1,))
+        for _ in range(n):
+            expected = expected * p
+        assert p**n == expected
+        f = data.draw(central_polys(max_degree=2))
+        expected = CentralPoly((1,))
+        for _ in range(n):
+            expected = expected * f
+        assert f**n == expected
 
 
 class TestRightDivision:
