@@ -84,6 +84,17 @@ def _power(base, n: int, one, mul=operator.mul):
     return result
 
 
+#: The names of the basis 1, i, j, k in printed coordinates.
+_UNITS = ("", "i", "j", "k")
+
+
+def _format_terms(terms: list[tuple]) -> str:
+    """Join (value, body) terms as "a - b + c", each signed as its value,
+    for quaternions and both polynomial rings; no terms print as 0."""
+    out = "".join(f" {'-' if v < 0 else '+'} {body}" for v, body in terms)
+    return ("-" if out[1] == "-" else "") + out[3:] if out else "0"
+
+
 def _int_qform(algebra: AlgebraParams, p, q) -> int:
     """ad*bd times the bilinear form of the norm N(p) = <p, p> at integer 4-vectors."""
     s, e1, e2, e3 = algebra._norm_weights
@@ -290,20 +301,8 @@ class Quaternion:
         return hash((self.algebra, self.coords()))
 
     def __str__(self) -> str:
-        parts = []
-        for value, unit in zip(self.coords(), ("", "i", "j", "k")):
-            if value == 0:
-                continue
-            mag = abs(value)
-            body = (str(mag) if mag != 1 or not unit else "") + unit
-            parts.append(("-" if value < 0 else "+", body))
-        if not parts:
-            return "0"
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _format_terms([(v, ("" if u and abs(v) == 1 else str(abs(v))) + u)
+                              for v, u in zip(self.coords(), _UNITS) if v])
 
     __repr__ = __str__
 

@@ -24,15 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count
-from math import isqrt, lcm
+from math import isqrt
 
 from . import _linalg
-from .algebra import AlgebraParams, Quaternion, _int_qmul, commutes
+from .algebra import AlgebraParams, Quaternion, commutes
 from .errors import InvariantViolation, PreconditionError
 from .polynomials import (
-    _CERT_PRIME, CentralPoly, QPoly, _central_from_ints, _coprime_mod, _derivative, _divmod_mod,
-    _gcd_mod, _int_coords, _int_gcd, _int_norm_form, _int_quotient, _int_squarefree,
-    _monic_from_ints, _pow_mod, _primitive, _split_mod, _to_ints, _trim, gcrd)
+    CentralPoly, QPoly, _central_from_ints, _coprime_mod, _derivative, _divmod_mod, _gcd_mod,
+    _int_cofactor, _int_coords, _int_evaluate, _int_gcd, _int_norm_form, _int_quotient,
+    _int_squarefree, _monic_from_ints, _pow_mod, _primitive, _split_mod, _to_ints, _trim, gcrd)
 
 
 @dataclass(frozen=True)
@@ -153,15 +153,10 @@ class _Structure:
         N(G) has no real root, and over a division algebra each class of
         its roots holds exactly one root of G; where H does not vanish on
         the class, P(q) = c G(q) H(q) makes that the one root of P there.
-        Coprimality mod a prime p not dividing lc(part) skips the gcd: a
-        common primitive factor keeps its degree mod p, dividing both.
         """
         # the quotient rows are those of c * G, whose norm is N(c) N(G)
         part = _int_squarefree(_primitive(_int_norm_form(self.beck[1], self.poly.algebra)[0]))
-        if part[-1] % _CERT_PRIME and _coprime_mod(part, self.central_squarefree, _CERT_PRIME):
-            return part
-        common = _int_gcd([part, self.central_squarefree])
-        return part if len(common) == 1 else _int_quotient(part, common)
+        return _int_cofactor(part, self.central_squarefree)
 
     @cached_property
     def central_factors(self) -> list[list[int]]:
@@ -174,30 +169,8 @@ class _Structure:
         return _padic_factors(self.isolated_part, 2)
 
     def evaluate(self, q: Quaternion) -> Quaternion:
-        """P(q) = sum_m e_m P_m(q) over the basis e = 1, i, j, k.  Each
-        P_m(q) lies in Q(q): for q = (W + u) / D, with D making W, the pure
-        u's coordinates and s = u^2 integers, D^(n-1) P_m(q) = a_m + b_m u
-        by Horner's rule in Z[u]/(u^2 - s) on the rows padded to length n.
-        """
-        alg, pure = self.poly.algebra, q.pure()
-        scale, pure_norm = lcm(*[c.denominator for c in q.coords()]), pure.norm()
-        scale *= (scale * scale * pure_norm).denominator
-        w, s = int(q.w * scale), int(-pure_norm * scale * scale)
-        n = max(map(len, self.rows))
-        alphas, betas = [], []
-        for row in self.rows:
-            a = b = 0
-            power = 1
-            for c in reversed(row + [0] * (n - len(row))):
-                a, b = a * w + b * s + c * power, a + b * w
-                power *= scale
-            alphas.append(a)
-            betas.append(b)
-        # alpha + beta u in integers, times ad * bd for (a, b) = (an/ad, bn/bd)
-        u, ab_den = [0] + [int(c * scale) for c in pure.coords()[1:]], alg._norm_weights[0]
-        den = ab_den * self.den * scale ** (n - 1)
-        return alg.quat(*[Fraction(ab_den * a + c, den)
-                          for a, c in zip(alphas, _int_qmul(alg, betas, u))])
+        """P(q), on the cached integer rows."""
+        return _int_evaluate(self.poly.algebra, self.rows, self.den, q)
 
 
 def beck_decompose(poly: QPoly) -> BeckFactorization:

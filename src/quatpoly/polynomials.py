@@ -10,7 +10,10 @@ norm-like companion polynomial P * conj(P) with central coefficients.
 
 :class:`CentralPoly` models the commutative subring F[x] of central
 (rational) coefficients, which is where companion polynomials and
-minimal polynomials of conjugacy classes live.
+minimal polynomials of conjugacy classes live.  Both rings share the
+private base ``_Poly`` and its one printer; each adds its coercion,
+product, division and evaluation, and right evaluation has one integer
+kernel, ``_int_evaluate``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .algebra import (
     ConjClass,
     Quaternion,
     SphereClass,
+    _UNITS,
+    _format_terms,
     _int_qmul,
     _power,
     rational,
@@ -35,30 +40,135 @@ from .errors import InvariantViolation, PreconditionError
 MINUS_INFINITY = float("-inf")
 
 
-def _format_terms(parts: list[tuple[str, str]]) -> str:
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+class _Poly:
+    """What D[x] and its centre F[x] share: an immutable tuple of
+    coefficients, constant-first, with trailing zeros trimmed on
+    construction so equal polynomials compare equal.
 
-
-def _x_part(degree: int) -> str:
-    if degree == 0:
-        return ""
-    return "x" if degree == 1 else f"x^{degree}"
-
-
-class QPoly:
-    """An immutable polynomial with quaternion coefficients.
-
-    Coefficients are stored constant-first; trailing zeros are trimmed
-    on construction so equal polynomials compare equal.
+    A subclass supplies its ring through hooks: ``_new`` builds a
+    polynomial of the same ring, ``_zero`` is the zero coefficient,
+    ``_scalars`` the types coerced to constants, ``_key`` decides
+    equality and ``_coords`` splits a coefficient into the coordinates
+    that are printed.
     """
 
-    __slots__ = ("algebra", "_coeffs")
+    __slots__ = ("_coeffs",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        return self._coeffs
+
+    @property
+    def degree(self):
+        return len(self._coeffs) - 1 if self._coeffs else MINUS_INFINITY
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    @property
+    def is_monic(self) -> bool:
+        return bool(self._coeffs) and self._coeffs[-1] == 1
+
+    @property
+    def leading(self):
+        if not self._coeffs:
+            raise PreconditionError("the zero polynomial has no leading coefficient")
+        return self._coeffs[-1]
+
+    def coefficient(self, power: int):
+        if 0 <= power < len(self._coeffs):
+            return self._coeffs[power]
+        return self._zero
+
+    def _check_same_ring(self, other):
+        """Raise unless ``other`` has the same coefficient ring."""
+
+    def _coerce_operand(self, other):
+        if isinstance(other, type(self)):
+            self._check_same_ring(other)
+            return other
+        return self._new((other,)) if isinstance(other, self._scalars) else None
+
+    # -- ring operations -----------------------------------------------------
+
+    def __add__(self, other):
+        p = self._coerce_operand(other)
+        if p is None:
+            return NotImplemented
+        n = max(len(self._coeffs), len(p._coeffs))
+        return self._new(self.coefficient(m) + p.coefficient(m) for m in range(n))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        p = self._coerce_operand(other)
+        if p is None:
+            return NotImplemented
+        return self + (-p)
+
+    def __rsub__(self, other):
+        p = self._coerce_operand(other)
+        if p is None:
+            return NotImplemented
+        return p - self
+
+    def __neg__(self):
+        return self._new(-c for c in self._coeffs)
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            raise PreconditionError("polynomial powers must be nonnegative")
+        return _power(self, n, self._new((1,)))
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
+    def __str__(self) -> str:
+        terms = []
+        for d in range(len(self._coeffs) - 1, -1, -1):
+            c, xp = self._coeffs[d], "" if d == 0 else "x" if d == 1 else f"x^{d}"
+            comps = [(v, u) for v, u in zip(self._coords(c), _UNITS) if v]
+            # one coordinate prints bare, with a magnitude of 1 left out before
+            # a unit or x; more print as a quaternion in parentheses
+            if len(comps) == 1:
+                ((value, unit),) = comps
+                text = ("" if abs(value) == 1 and (unit or d > 0) else str(abs(value))) + unit
+                terms.append((value, text + (" " if text and xp else "") + xp))
+            elif comps:
+                sign = -1 if all(v < 0 for v, _ in comps) else 1
+                terms.append((sign, f"({-c if sign < 0 else c})" + (f" {xp}" if xp else "")))
+        return _format_terms(terms)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class QPoly(_Poly):
+    """An immutable polynomial with quaternion coefficients over ``algebra``."""
+
+    __slots__ = ("algebra",)
+    _scalars = (Quaternion, int, Fraction)
+    _coords = staticmethod(Quaternion.coords)
 
     def __init__(self, algebra: AlgebraParams, coeffs: Iterable = ()):
         items = [self._coerce_coeff(algebra, c) for c in coeffs]
@@ -67,8 +177,15 @@ class QPoly:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "_coeffs", tuple(items))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QPoly is immutable")
+    def _new(self, coeffs) -> "QPoly":
+        return QPoly(self.algebra, coeffs)
+
+    @property
+    def _zero(self) -> Quaternion:
+        return self.algebra.zero
+
+    def _key(self):
+        return self.algebra, self._coeffs
 
     @staticmethod
     def _coerce_coeff(algebra: AlgebraParams, value) -> Quaternion:
@@ -81,6 +198,12 @@ class QPoly:
         if isinstance(value, (int, Fraction)):
             return algebra.scalar(value)
         raise PreconditionError(f"cannot use {value!r} as a quaternion coefficient")
+
+    def _check_same_ring(self, other: "QPoly"):
+        if other.algebra != self.algebra:
+            raise PreconditionError(
+                f"mixed algebras: {self.algebra!r} vs {other.algebra!r}"
+            )
 
     # -- constructors ------------------------------------------------------
 
@@ -98,77 +221,7 @@ class QPoly:
             raise PreconditionError("monomial power must be nonnegative")
         return cls(coeff.algebra, (0,) * power + (coeff,))
 
-    # -- basic structure ---------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[Quaternion, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self):
-        return len(self._coeffs) - 1 if self._coeffs else MINUS_INFINITY
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self._coeffs) and self.leading == 1
-
-    @property
-    def leading(self) -> Quaternion:
-        if not self._coeffs:
-            raise PreconditionError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
-    def coefficient(self, power: int) -> Quaternion:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return self.algebra.zero
-
-    def _check_same_ring(self, other: "QPoly"):
-        if other.algebra != self.algebra:
-            raise PreconditionError(
-                f"mixed algebras: {self.algebra!r} vs {other.algebra!r}"
-            )
-
     # -- ring operations -----------------------------------------------------
-
-    def _coerce_operand(self, other) -> "QPoly | None":
-        if isinstance(other, QPoly):
-            self._check_same_ring(other)
-            return other
-        if isinstance(other, (Quaternion, int, Fraction)):
-            return QPoly(self.algebra, (other,))
-        return None
-
-    def __add__(self, other):
-        p = self._coerce_operand(other)
-        if p is None:
-            return NotImplemented
-        n = max(len(self._coeffs), len(p._coeffs))
-        return QPoly(
-            self.algebra,
-            (self.coefficient(m) + p.coefficient(m) for m in range(n)),
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        p = self._coerce_operand(other)
-        if p is None:
-            return NotImplemented
-        return self + (-p)
-
-    def __rsub__(self, other):
-        p = self._coerce_operand(other)
-        if p is None:
-            return NotImplemented
-        return p - self
-
-    def __neg__(self):
-        return QPoly(self.algebra, (-c for c in self._coeffs))
 
     def __mul__(self, other):
         p = self._coerce_operand(other)
@@ -184,51 +237,24 @@ class QPoly:
             return NotImplemented
         return p * self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise PreconditionError("polynomial powers must be nonnegative")
-        return _power(self, n, QPoly(self.algebra, (1,)))
-
     def __divmod__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
         return right_divrem(self, other)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.algebra == other.algebra and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash((self.algebra, self._coeffs))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
     # -- polynomial-specific operations ---------------------------------------
 
     def evaluate(self, point) -> Quaternion:
         """Right evaluation: powers of the point stand to the right of
-        the coefficients, so P(q) = sum a_m q^m via a right-sided Horner
-        scheme.  This is the evaluation for which the remainder theorem
+        the coefficients, so P(q) = sum a_m q^m (see ``_int_evaluate``).
+        This is the evaluation for which the remainder theorem
         P(q) = P mod (x - q) holds."""
         q = QPoly._coerce_coeff(self.algebra, point) if not isinstance(point, Quaternion) else point
         if q.algebra != self.algebra:
             raise PreconditionError("evaluation point from a different algebra")
         if self.is_zero:
             return self.algebra.zero
-        acc = self._coeffs[-1]
-        for c in reversed(self._coeffs[:-1]):
-            acc = acc * q + c
-        return acc
+        return _int_evaluate(self.algebra, *_int_coords(self), q)
 
     def monic(self) -> "QPoly":
         """Left-normalize by the inverse of the leading coefficient."""
@@ -260,41 +286,14 @@ class QPoly:
     def coefficients_central(self) -> bool:
         return all(c.is_central for c in self._coeffs)
 
-    def __str__(self) -> str:
-        parts: list[tuple[str, str]] = []
-        for d in range(len(self._coeffs) - 1, -1, -1):
-            q = self._coeffs[d]
-            if q.is_zero:
-                continue
-            xp = _x_part(d)
-            comps = [(v, u) for v, u in zip(q.coords(), ("", "i", "j", "k")) if v != 0]
-            if len(comps) == 1:
-                value, unit = comps[0]
-                sign = "-" if value < 0 else "+"
-                mag = abs(value)
-                if unit:
-                    coeff_text = ("" if mag == 1 else str(mag)) + unit
-                else:
-                    coeff_text = "" if (d > 0 and mag == 1) else str(mag)
-                body = coeff_text + (" " if coeff_text and xp else "") + xp
-            else:
-                if all(v < 0 for v, _ in comps):
-                    sign = "-"
-                    q = -q
-                else:
-                    sign = "+"
-                body = f"({q})" + (f" {xp}" if xp else "")
-            parts.append((sign, body))
-        return _format_terms(parts)
 
-    def __repr__(self) -> str:
-        return f"QPoly({self})"
+class CentralPoly(_Poly):
+    """An immutable polynomial with rational (central) coefficients."""
 
-
-class CentralPoly:
-    """A polynomial with rational (central) coefficients, constant-first."""
-
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _zero = Fraction(0)
+    _scalars = (int, Fraction)
+    _coords = staticmethod(lambda c: (c,))
 
     def __init__(self, coeffs: Iterable = ()):
         items = [rational(c) for c in coeffs]
@@ -302,8 +301,11 @@ class CentralPoly:
             items.pop()
         object.__setattr__(self, "_coeffs", tuple(items))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CentralPoly is immutable")
+    def _new(self, coeffs) -> "CentralPoly":
+        return CentralPoly(coeffs)
+
+    def _key(self):
+        return self._coeffs
 
     @classmethod
     def x(cls) -> "CentralPoly":
@@ -315,64 +317,6 @@ class CentralPoly:
             raise PreconditionError("monomial power must be nonnegative")
         return cls((0,) * power + (coeff,))
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self):
-        return len(self._coeffs) - 1 if self._coeffs else MINUS_INFINITY
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self._coeffs) and self._coeffs[-1] == 1
-
-    @property
-    def leading(self) -> Fraction:
-        if not self._coeffs:
-            raise PreconditionError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return Fraction(0)
-
-    def _coerce_operand(self, other) -> "CentralPoly | None":
-        if isinstance(other, CentralPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CentralPoly((other,))
-        return None
-
-    def __add__(self, other):
-        p = self._coerce_operand(other)
-        if p is None:
-            return NotImplemented
-        n = max(len(self._coeffs), len(p._coeffs))
-        return CentralPoly(self.coefficient(m) + p.coefficient(m) for m in range(n))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        p = self._coerce_operand(other)
-        if p is None:
-            return NotImplemented
-        return self + (-p)
-
-    def __rsub__(self, other):
-        p = self._coerce_operand(other)
-        if p is None:
-            return NotImplemented
-        return p - self
-
-    def __neg__(self):
-        return CentralPoly(-c for c in self._coeffs)
-
     def __mul__(self, other):
         p = self._coerce_operand(other)
         if p is None:
@@ -381,13 +325,6 @@ class CentralPoly:
         return _central_from_ints(_int_mul(left, right), left_den * right_den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise PreconditionError("polynomial powers must be nonnegative")
-        return _power(self, n, CentralPoly((1,)))
 
     def __divmod__(self, other):
         if not isinstance(other, CentralPoly):
@@ -403,28 +340,11 @@ class CentralPoly:
         return (_central_from_ints([q * div_den for q in quot], den),
                 _central_from_ints(rem, den))
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def divides(self, other: "CentralPoly") -> bool:
         if self.is_zero:
             return other.is_zero
         return _int_quotient(_to_ints(other._coeffs)[0],
                              _primitive(_to_ints(self._coeffs)[0])) is not None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CentralPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
 
     def evaluate(self, point):
         """Horner evaluation; the point may be rational or a quaternion.
@@ -470,22 +390,6 @@ class CentralPoly:
     def lift(self, algebra: AlgebraParams) -> QPoly:
         """Embed into the quaternion polynomial ring over ``algebra``."""
         return QPoly(algebra, self._coeffs)
-
-    def __str__(self) -> str:
-        parts: list[tuple[str, str]] = []
-        for d in range(len(self._coeffs) - 1, -1, -1):
-            value = self._coeffs[d]
-            if value == 0:
-                continue
-            xp = _x_part(d)
-            sign = "-" if value < 0 else "+"
-            mag = abs(value)
-            coeff_text = "" if (d > 0 and mag == 1) else str(mag)
-            parts.append((sign, coeff_text + (" " if coeff_text and xp else "") + xp))
-        return _format_terms(parts)
-
-    def __repr__(self) -> str:
-        return f"CentralPoly({self})"
 
 
 # -- free functions ---------------------------------------------------------
@@ -590,7 +494,8 @@ def minimal_polynomial(cls: ConjClass) -> CentralPoly:
 # denominator and builds Fractions only for results: Fraction arithmetic
 # pays a gcd on every operation.  ``_int_qpoly_mul`` multiplies QPolys given
 # as (vectors, den), coefficients as integer 4-vectors, for ``QPoly.__mul__``
-# and the parser.
+# and the parser; ``_int_evaluate`` evaluates coordinate rows for
+# ``QPoly.evaluate`` and classification's root checks.
 
 
 def _to_ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -639,6 +544,36 @@ def _int_qpoly_mul(algebra: AlgebraParams, left, right) -> tuple[list[list[int]]
                 acc[2] += y
                 acc[3] += z
     return out, algebra._norm_weights[0] * d1 * d2
+
+
+def _int_evaluate(algebra: AlgebraParams, rows: Sequence[list[int]], den: int,
+                  q: Quaternion) -> Quaternion:
+    """P(q) for the nonzero P with coordinate rows ``rows`` / den.
+
+    P(q) = sum_m e_m P_m(q) over the basis e = 1, i, j, k, and each
+    P_m(q) lies in Q(q): for q = (W + u) / D, with D making W, the pure
+    u's coordinates and s = u^2 integers, D^(n-1) P_m(q) = a_m + b_m u
+    by Horner's rule in Z[u]/(u^2 - s) on the rows padded to length n.
+    """
+    pure = q.pure()
+    scale, pure_norm = lcm(*[c.denominator for c in q.coords()]), pure.norm()
+    scale *= (scale * scale * pure_norm).denominator
+    w, s = int(q.w * scale), int(-pure_norm * scale * scale)
+    n = max(map(len, rows))
+    alphas, betas = [], []
+    for row in rows:
+        a = b = 0
+        power = 1
+        for c in reversed(row + [0] * (n - len(row))):
+            a, b = a * w + b * s + c * power, a + b * w
+            power *= scale
+        alphas.append(a)
+        betas.append(b)
+    # alpha + beta u in integers, times ad * bd for (a, b) = (an/ad, bn/bd)
+    u, ab_den = [0] + [int(c * scale) for c in pure.coords()[1:]], algebra._norm_weights[0]
+    den = ab_den * den * scale ** (n - 1)
+    return algebra.quat(*[Fraction(ab_den * a + c, den)
+                          for a, c in zip(alphas, _int_qmul(algebra, betas, u))])
 
 
 def _int_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
@@ -823,20 +758,25 @@ def _split_mod(f: list[int], k: int, p: int, start: int = 0) -> list[list[int]]:
     raise InvariantViolation(f"no x + c splits {f} modulo {p}")
 
 
-def _int_squarefree(f: list[int]) -> list[int]:
-    """Primitive square-free part of a nonzero primitive integer polynomial.
+def _int_cofactor(f: list[int], g: list[int]) -> list[int]:
+    """f / gcd(f, g) for a nonzero primitive f, primitive.
 
-    Certificate: if p does not divide the leading coefficient and
-    gcd(f mod p, f' mod p) = 1, then f is square-free over the
-    rationals: if f = g^2 h with g primitive of degree >= 1 (Gauss's
-    lemma), g mod p keeps its degree and divides both f mod p and
-    f' mod p = g (2 g' h + g h') mod p.  Without the certificate,
-    gcd(f, f') is divided out, computed by the PRS.
+    Certificate: if p does not divide f's leading coefficient and
+    gcd(f mod p, g mod p) = 1, then f and g are coprime over the
+    rationals, since a common primitive factor keeps its degree mod p
+    and divides both.  Without the certificate the PRS computes the gcd.
     """
-    if f[-1] % _CERT_PRIME and _coprime_mod(f, _derivative(f), _CERT_PRIME):
+    if f[-1] % _CERT_PRIME and _coprime_mod(f, g, _CERT_PRIME):
         return f
-    common = _int_gcd([f, _derivative(f)])
+    common = _int_gcd([f, g])
     return f if len(common) == 1 else _int_quotient(f, common)
+
+
+def _int_squarefree(f: list[int]) -> list[int]:
+    """Primitive square-free part f / gcd(f, f') of a nonzero primitive
+    integer polynomial: a repeated factor g of f = g^2 h also divides
+    f' = g (2 g' h + g h')."""
+    return _int_cofactor(f, _derivative(f))
 
 
 def _derivative(f: Sequence[int]) -> list[int]:

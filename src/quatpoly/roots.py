@@ -457,18 +457,11 @@ def analyze_sparse(poly: QPoly) -> SparseAnalysis:
     report = classify(poly)
     found = len(report.spherical_classes)
     positions = [m for m, c in enumerate(poly.coeffs) if not c.is_central]
-    if len(positions) == 0:
+    if not 0 < len(positions) <= 2:
         return SparseAnalysis(
             applicable=False,
-            reason="all coefficients are central; no designated pair",
-            case=None, low_position=None, high_position=None,
-            bound=None, candidate_factor=None,
-            spherical_found=found, report=report,
-        )
-    if len(positions) > 2:
-        return SparseAnalysis(
-            applicable=False,
-            reason="more than two non-central coefficients",
+            reason=("more than two non-central coefficients" if positions
+                    else "all coefficients are central; no designated pair"),
             case=None, low_position=None, high_position=None,
             bound=None, candidate_factor=None,
             spherical_found=found, report=report,
@@ -516,16 +509,38 @@ def analyze_sparse(poly: QPoly) -> SparseAnalysis:
 class CubicAnalysis:
     """Structural spherical bound for a monic cubic over Hamilton.
 
-    ``case`` describes the centrality pattern of the coefficients of
-    x^2, x, 1 and their subfield relations; ``bound`` is 1 when all
-    coefficients sit inside one quadratic subfield (including the
-    all-central case) and 0 otherwise.
+    ``case`` names the pattern of non-central coefficients among those
+    of x^2, x, 1 and whether they share a quadratic subfield; ``bound``
+    is the most spherical classes that pattern allows.  A sphere (t, n)
+    of roots makes x^2 - t x + n a central factor, so at most one sphere
+    fits a cubic, and then
+    P = (x - r)(x^2 - t x + n) = x^3 - (t + r) x^2 + (n + t r) x - n r.
+    If r is central, every coefficient is; if not, the x^2 and constant
+    coefficients are non-central (n != 0) and all three lie in F(r).
+    The bound is therefore 1 for ``all_central``,
+    ``outer_pair_in_subfield`` and ``all_in_subfield``, and 0 for every
+    other case, including ``single_noncentral`` with all coefficients
+    in one subfield.
     """
 
     case: str
     bound: int
     spherical_found: int
     report: RootReport
+
+
+#: (case, bound) by whether the coefficients of x^2, x, 1 are non-central,
+#: when the non-central ones share a quadratic subfield
+_CUBIC_CASES = {
+    (False, False, False): ("all_central", 1),
+    (True, False, False): ("single_noncentral", 0),
+    (False, True, False): ("single_noncentral", 0),
+    (False, False, True): ("single_noncentral", 0),
+    (True, False, True): ("outer_pair_in_subfield", 1),
+    (False, True, True): ("lower_pair_in_subfield", 0),
+    (True, True, False): ("upper_pair_in_subfield", 0),
+    (True, True, True): ("all_in_subfield", 1),
+}
 
 
 def classify_cubic(poly: QPoly) -> CubicAnalysis:
@@ -535,33 +550,15 @@ def classify_cubic(poly: QPoly) -> CubicAnalysis:
         raise PreconditionError("the cubic analyzer needs degree exactly 3")
     if not poly.is_monic:
         raise PreconditionError("the cubic analyzer needs a monic polynomial")
-    quad, lin, const = poly.coefficient(2), poly.coefficient(1), poly.coefficient(0)
-    pattern = tuple(not c.is_central for c in (quad, lin, const))
-    noncentral_count = sum(pattern)
-    if noncentral_count == 0:
-        case, bound = "all_central", 1
-    elif noncentral_count == 1:
-        case, bound = "single_noncentral", 0
-    elif pattern == (True, False, True):
-        if commutes(quad, const):
-            case, bound = "outer_pair_in_subfield", 1
-        else:
-            case, bound = "no_common_subfield", 0
-    elif pattern == (False, True, True):
-        if commutes(lin, const):
-            case, bound = "lower_pair_in_subfield", 0
-        else:
-            case, bound = "no_common_subfield", 0
-    elif pattern == (True, True, False):
-        if commutes(quad, lin):
-            case, bound = "upper_pair_in_subfield", 0
-        else:
-            case, bound = "no_common_subfield", 0
+    coeffs = poly.coeffs[2::-1]  # those of x^2, x, 1
+    pattern = tuple(not c.is_central for c in coeffs)
+    noncentral = [c for c in coeffs if not c.is_central]
+    # the centralizer of a non-central element is a field, so the
+    # non-central coefficients share a subfield when all commute with one
+    if all(commutes(c, noncentral[0]) for c in noncentral[1:]):
+        case, bound = _CUBIC_CASES[pattern]
     else:
-        if commutes(quad, lin) and commutes(const, lin):
-            case, bound = "all_in_subfield", 1
-        else:
-            case, bound = "no_common_subfield", 0
+        case, bound = "no_common_subfield", 0
     report = classify(poly)
     found = len(report.spherical_classes)
     if found > bound:

@@ -31,7 +31,7 @@ from quatpoly import (
     classify,
     parse_to_qpoly,
 )
-from quatpoly import decompose
+from quatpoly import polynomials
 from quatpoly.decompose import _padic_factors, _Structure
 from quatpoly.polynomials import (
     _int_gcd, _int_norm_form, _int_quotient, _int_squarefree, _primitive, _to_ints)
@@ -258,30 +258,41 @@ class TestIsolatedPart:
     def test_certificate_agrees_with_the_gcd(self, poly, prime):
         structure = _Structure(poly)
         expected = _isolated_by_gcd(structure)
-        with mock.patch.object(decompose, "_CERT_PRIME", prime):
+        with mock.patch.object(polynomials, "_CERT_PRIME", prime):
             assert structure.isolated_part == expected
 
     def test_prime_dividing_the_leading_coefficient_falls_back(self):
         # N(x - i/3) = x^2 + 1/9, primitive 9 x^2 + 1: the prime 3 divides
-        # its leading coefficient, so the gcd must run
+        # its leading coefficient, so the gcd with sqfree(H) = x - 2 must run
         structure = _Structure(parse_to_qpoly("(x - 1/3 i)(x - 2)"))
         structure.central_squarefree
         calls = []
-        spy = lambda polys: calls.append(1) or _int_gcd(polys)
-        with mock.patch.object(decompose, "_CERT_PRIME", 3), \
-                mock.patch.object(decompose, "_int_gcd", spy):
+        spy = lambda polys: calls.append(list(polys)) or _int_gcd(calls[-1])
+        with mock.patch.object(polynomials, "_CERT_PRIME", 3), \
+                mock.patch.object(polynomials, "_int_gcd", spy):
             assert structure.isolated_part == [1, 0, 9]
-        assert calls
+        assert [[1, 0, 9], [-2, 1]] in calls
+
+
+def naive_evaluate(poly: QPoly, q):
+    """Right Horner's rule in Fraction quaternions: the reference for the
+    integer evaluator behind ``QPoly.evaluate`` and ``_Structure``."""
+    acc = poly.algebra.zero
+    for c in reversed(poly.coeffs):
+        acc = acc * q + c
+    return acc
 
 
 class TestRowEvaluation:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_agrees_with_qpoly_evaluate(self, data):
+    def test_agrees_with_naive_horner(self, data):
         alg = data.draw(st.sampled_from(DIVISION_ALGEBRAS + FRACTIONAL_ALGEBRAS))
         poly = data.draw(qpolys(alg, max_degree=5).filter(lambda p: not p.is_zero))
         q = data.draw(quaternions(alg))
-        assert _Structure(poly).evaluate(q) == poly.evaluate(q)
+        expected = naive_evaluate(poly, q)
+        assert _Structure(poly).evaluate(q) == expected
+        assert poly.evaluate(q) == expected
 
     def test_perturbed_isolated_root_is_caught(self):
         poly = parse_to_qpoly("(x - i)(x - 2 - j)")

@@ -71,6 +71,50 @@ class TestConstruction:
         assert not QPoly(A, [A.i, A.one]).coefficients_central()
 
 
+# the two rings' shared skeleton, each built from the same integer coefficients
+RINGS = [pytest.param(lambda coeffs: QPoly(HAMILTON, coeffs), HAMILTON.zero, id="QPoly"),
+         pytest.param(CentralPoly, Fraction(0), id="CentralPoly")]
+
+
+@pytest.mark.parametrize("make,zero", RINGS)
+class TestRingContract:
+    def test_setting_an_attribute_names_the_class(self, make, zero):
+        p = make((1, 2))
+        for name in ("_coeffs", "other"):
+            with pytest.raises(AttributeError, match=f"^{type(p).__name__} is immutable$"):
+                setattr(p, name, ())
+
+    def test_repr_has_the_class_prefix(self, make, zero):
+        p = make((1, -1, 3))
+        assert repr(p) == f"{type(p).__name__}(3 x^2 - x + 1)"
+
+    def test_equal_polynomials_hash_alike(self, make, zero):
+        p, q = make((1, 2)), make((Fraction(2, 2), 2, 0))
+        assert p == q and hash(p) == hash(q)
+        assert p != make((1, 3))
+
+    def test_coefficient_past_the_degree_is_the_rings_zero(self, make, zero):
+        p = make((1, 2))
+        for power in (-1, 2, 7):
+            assert p.coefficient(power) == zero
+            assert type(p.coefficient(power)) is type(zero)
+
+    def test_power_zero_is_one_and_difference_is_zero(self, make, zero):
+        p = make((1, 2, 3))
+        assert p ** 0 == make((1,))
+        assert (p - p).is_zero and p - p == make(())
+
+
+def test_rings_never_compare_equal():
+    assert QPoly(HAMILTON, (1, 2)) != CentralPoly((1, 2))
+    assert CentralPoly((1, 2)) != QPoly(HAMILTON, (1, 2))
+
+
+@given(st.lists(small_fractions(6, 4), max_size=6).map(CentralPoly))
+def test_central_prints_as_its_lift(c):
+    assert str(c) == str(c.lift(HAMILTON))
+
+
 class TestRingStructure:
     @given(algebras, st.data())
     @settings(max_examples=40)

@@ -356,6 +356,21 @@ class TestCubicAnalysis:
         assert res.bound == bound
         assert res.spherical_found <= res.bound
 
+    @pytest.mark.parametrize("text,case", [
+        ("(x^2 + 1)(x - i)", "outer_pair_in_subfield"),
+        ("(x^2 - 2x + 2)(x - i)", "all_in_subfield"),
+        ("x^3 - 1", "all_central"),
+    ])
+    def test_bound_one_is_reached(self, text, case):
+        res = classify_cubic(parse_to_qpoly(text))
+        assert (res.case, res.bound, res.spherical_found) == (case, 1, 1)
+
+    def test_one_subfield_is_not_enough(self):
+        # every coefficient lies in Q(i), but a sphere needs a
+        # non-central constant term beside the non-central x^2 term
+        res = classify_cubic(parse_to_qpoly("x^3 + i x"))
+        assert (res.case, res.bound, res.spherical_found) == ("single_noncentral", 0, 0)
+
     def test_requires_monic_cubic(self):
         with pytest.raises(PreconditionError):
             classify_cubic(parse_to_qpoly("x^2 + 1"))
